@@ -61,10 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep incorrect completions in the ground truth (diagnostics)")
     p.add_argument("--optimal-matching", action="store_true",
                    help="experimental assignment-based matching instead of greedy")
-    p.add_argument("--streams", nargs="*", default=[],
-                   help="optional confidence streams for --series-out")
     p.add_argument("--procedure", help="procedure name or file (to validate records)")
-    p.add_argument("--series-out", help="per-step confidence-vs-time CSV")
     _add_parse_mode(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -79,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--evidence-floor", type=float, default=0.0,
                    help="probabilities at or below this count as no evidence")
     p.add_argument("--fuse", action="store_true",
-                   help="require fusing a state and a temporal stream")
+                   help="require a state and a temporal stream; given both, every "
+                        "video is fused, against zeros where one stream lacks it")
     p.add_argument("--min-confidence", type=float, default=0.0,
                    help="ignore state detections below this confidence")
     p.add_argument("--out", required=True, help="predictions JSONL output path")
@@ -192,36 +190,12 @@ def cmd_evaluate(args) -> int:
     fileio.write_json(args.out, fileio.build_report(reports, summary, config))
     csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
     fileio.write_metrics_csv(reports, summary, csv_path)
-    if args.series_out:
-        if not args.streams:
-            raise ValueError("--series-out needs --streams to read confidences from")
-        _write_prob_series(args.streams, proc, args.strict, args.series_out)
     tau = "undefined" if summary.tau_s is None else f"{summary.tau_s:.3f}s"
     print(
         f"evaluated {summary.n_videos} video(s): pos={summary.pos:.4f} "
         f"f1={summary.f1:.4f} tau={tau}"
     )
     return 0
-
-
-def _write_prob_series(paths, proc, strict, out_path):
-    asd, temporal = _load_streams(paths, proc, strict)
-    rows = []
-    for source in (asd, temporal):
-        if source is None:
-            continue
-        for vid in sorted(source):
-            items = source[vid]
-            if items and isinstance(items[0], ConfidenceFrame):
-                for f in items:
-                    for k, p in enumerate(f.probs):
-                        if p > 0:
-                            action = proc.actions[k] if proc else k
-                            rows.append((vid, f.frame, k, action, p, ""))
-            else:
-                for det in items:
-                    rows.append((vid, det.frame, "", "", det.confidence, ""))
-    fileio.write_series_csv(rows, out_path)
 
 
 def cmd_recognize(args) -> int:
@@ -231,6 +205,7 @@ def cmd_recognize(args) -> int:
         raise ValueError("--fuse needs one state stream and one temporal stream")
     if asd is None and temporal is None:
         raise ValueError("no usable streams given")
+    fused = asd is not None and temporal is not None
     videos = sorted(set(asd or {}) | set(temporal or {}))
     predictions = {}
     series_rows = []
@@ -245,7 +220,7 @@ def cmd_recognize(args) -> int:
         if video_len == 0:
             predictions[vid] = EventSequence((), video_id=vid, fps=proc.fps)
             continue
-        if dets and temp:
+        if fused:
             stream = fuse_streams(
                 asd_stream_probs(dets, proc, video_len,
                                  min_confidence=args.min_confidence),
@@ -421,7 +396,7 @@ def main(argv=None) -> int:
     except UndefinedMetricError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except (SchemaError, ConfigError, OSError, NotImplementedError) as e:
+    except (SchemaError, ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except (PsrError, ValueError) as e:

@@ -9,10 +9,12 @@ reruns with identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import logging
+import math
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -141,6 +143,15 @@ def _field(rec: dict, name: str, path: str, lineno: int):
     return rec[name]
 
 
+def _int_field(rec: dict, name: str, path: str, lineno: int, non_negative: bool = True) -> int:
+    """A required integer field; JSON booleans are not integers."""
+    value = _field(rec, name, path, lineno)
+    if isinstance(value, bool) or not isinstance(value, int) or (non_negative and value < 0):
+        kind = "a non-negative integer" if non_negative else "an integer"
+        raise SchemaError(f"{name} must be {kind}, got {value!r}", path, lineno)
+    return value
+
+
 def _collect(
     path: str | Path,
     schema: str,
@@ -197,18 +208,12 @@ def parse_labels(
 
     def parse_one(rec: dict, lineno: int):
         video_id = _field(rec, "video_id", spath, lineno)
-        frame = _field(rec, "frame", spath, lineno)
+        frame = _int_field(rec, "frame", spath, lineno)
         fps = _field(rec, "fps", spath, lineno)
-        action = _field(rec, "action", spath, lineno)
-        component = _field(rec, "component", spath, lineno)
+        action = _int_field(rec, "action", spath, lineno, non_negative=False)
+        component = _int_field(rec, "component", spath, lineno)
         kind = _field(rec, "kind", spath, lineno)
         correct = _field(rec, "correct", spath, lineno)
-        if not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"frame must be a non-negative integer, got {frame!r}", spath, lineno)
-        if not isinstance(action, int):
-            raise SchemaError(f"action must be an integer id, got {action!r}", spath, lineno)
-        if not isinstance(component, int) or component < 0:
-            raise SchemaError(f"component must be a non-negative integer, got {component!r}", spath, lineno)
         if kind not in KINDS:
             raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", spath, lineno)
         if not isinstance(correct, bool):
@@ -295,18 +300,16 @@ def parse_asd_stream(
 
     def parse_one(rec: dict, lineno: int):
         video_id = str(_field(rec, "video_id", spath, lineno))
-        frame = _field(rec, "frame", spath, lineno)
-        state_id = _field(rec, "state_id", spath, lineno)
+        frame = _int_field(rec, "frame", spath, lineno)
+        state_id = _int_field(rec, "state_id", spath, lineno, non_negative=False)
         confidence = _field(rec, "confidence", spath, lineno)
-        if not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"frame must be a non-negative integer, got {frame!r}", spath, lineno)
         if state_id not in states_by_id:
             raise SchemaError(
                 f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
                 spath,
                 lineno,
             )
-        if not isinstance(confidence, (int, float)) or not 0 <= confidence <= 1:
+        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)) or not 0 <= confidence <= 1:
             raise SchemaError(f"confidence must be in [0, 1], got {confidence!r}", spath, lineno)
         return video_id, StateDetection(
             frame=frame, state=states_by_id[state_id], confidence=float(confidence)
@@ -347,10 +350,8 @@ def parse_temporal_stream(
 
     def parse_one(rec: dict, lineno: int):
         video_id = str(_field(rec, "video_id", spath, lineno))
-        frame = _field(rec, "frame", spath, lineno)
+        frame = _int_field(rec, "frame", spath, lineno)
         probs = _field(rec, "probs", spath, lineno)
-        if not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"frame must be a non-negative integer, got {frame!r}", spath, lineno)
         if not isinstance(probs, list):
             raise SchemaError("probs must be a list", spath, lineno)
         if n_steps is not None and len(probs) != n_steps:
@@ -680,109 +681,66 @@ def load_prob_batch(path: str | Path) -> ProbBatch:
 # simulator config
 
 
-def _typed(doc: Mapping, field_name: str, types, default=None, required=False):
-    if field_name not in doc:
-        if required:
-            raise ConfigError(field_name, "is required")
-        return default
-    value = doc[field_name]
-    if isinstance(value, bool) or not isinstance(value, types):
-        raise ConfigError(field_name, f"has the wrong type: {value!r}")
+def _json_number(value, hint, where: str):
+    """A JSON number checked for a field annotated `hint`: an int field takes
+    an integer, any other (float) field a finite number, converted to float."""
+    if isinstance(value, bool) or not isinstance(value, int if hint is int else (int, float)):
+        raise ConfigError(where, f"has the wrong type: {value!r}")
+    if hint is int:
+        return value
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigError(where, f"must be a finite number, got {value!r}")
     return value
+
+
+def _from_json(cls, doc, section: str = "", **defaults):
+    """An instance of dataclass `cls` read from a JSON object.
+
+    Names, types and defaults come from the dataclass fields: a field with no
+    default is required, a dataclass-typed field is a nested object read the
+    same way (absent means empty), and `defaults` overrides a field's default.
+    Unknown keys are rejected; errors name the field as `section.field`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(section, "must be an object")
+    prefix = f"{section}." if section else ""
+    fields = dataclasses.fields(cls)
+    names = {f.name for f in fields}
+    for key in doc:
+        if key not in names:
+            raise ConfigError(prefix + key, "is not a recognized config field")
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields:
+        where = prefix + f.name
+        if dataclasses.is_dataclass(hints[f.name]) and f.name not in defaults:
+            kwargs[f.name] = _from_json(hints[f.name], doc.get(f.name, {}), where)
+        elif f.name in doc:
+            kwargs[f.name] = _json_number(doc[f.name], hints[f.name], where)
+        elif f.name in defaults:
+            kwargs[f.name] = defaults[f.name]
+        elif f.default is dataclasses.MISSING:
+            raise ConfigError(where, "is required")
+    return cls(**kwargs)
 
 
 def load_sim_config(path: str | Path):
     """(SimConfig, thresholds dict) from a JSON config document."""
-    from .simulator import (
-        AsdModel,
-        ErrorModel,
-        OcclusionModel,
-        SimConfig,
-        TemporalModel,
-    )
+    from .simulator import SimConfig, Thresholds
 
     doc = read_json(path, SIM_CONFIG_SCHEMA)
-    known = {
-        "schema", "version", "procedure", "n_videos", "fps", "step_gap",
-        "occlusion", "asd", "temporal", "errors", "seed", "tail_frames",
-        "thresholds",
-    }
-    for key in doc:
-        if key not in known:
-            raise ConfigError(key, "is not a recognized config field")
-
-    proc_spec = doc.get("procedure", "toy-motorcycle")
-    if isinstance(proc_spec, str):
-        proc = resolve_procedure(proc_spec)
-    else:
+    body = {k: v for k, v in doc.items() if k not in ("schema", "version")}
+    proc_spec = body.pop("procedure", "toy-motorcycle")
+    thresholds = body.pop("thresholds", {})
+    if not isinstance(proc_spec, str):
         raise ConfigError("procedure", "must be a builtin name or a file path")
-
-    def sub(name: str) -> dict:
-        value = doc.get(name, {})
-        if not isinstance(value, dict):
-            raise ConfigError(name, "must be an object")
-        return value
-
-    occ = sub("occlusion")
-    asd = sub("asd")
-    temporal = sub("temporal")
-    errors = sub("errors")
-    config = SimConfig(
-        procedure=proc,
-        n_videos=int(_typed(doc, "n_videos", (int,), default=3)),
-        fps=float(_typed(doc, "fps", (int, float), default=proc.fps)),
-        step_gap=float(_typed(doc, "step_gap", (int, float), default=120.0)),
-        occlusion=OcclusionModel(
-            p_occlude=float(_typed(occ, "p_occlude", (int, float), required=True)),
-            p_reveal=float(_typed(occ, "p_reveal", (int, float), required=True)),
-        ),
-        asd=AsdModel(
-            confidence=float(_typed(asd, "confidence", (int, float), default=0.9)),
-            false_detection_rate=float(
-                _typed(asd, "false_detection_rate", (int, float), default=0.0)
-            ),
-        ),
-        temporal=TemporalModel(
-            response_frames=int(_typed(temporal, "response_frames", (int,), default=30)),
-            peak_prob=float(_typed(temporal, "peak_prob", (int, float), default=0.6)),
-            hit_prob=float(_typed(temporal, "hit_prob", (int, float), default=0.7)),
-            fp_rate=float(_typed(temporal, "fp_rate", (int, float), default=1e-3)),
-            fp_low=float(_typed(temporal, "fp_low", (int, float), default=0.1)),
-            fp_high=float(_typed(temporal, "fp_high", (int, float), default=0.4)),
-        ),
-        errors=ErrorModel(
-            p_incorrect=float(_typed(errors, "p_incorrect", (int, float), default=0.0))
-        ),
-        seed=int(_typed(doc, "seed", (int,), default=0)),
-        tail_frames=int(_typed(doc, "tail_frames", (int,), default=600)),
-    )
-    thresholds = doc.get("thresholds", {})
-    if not isinstance(thresholds, dict):
-        raise ConfigError("thresholds", "must be an object")
-    out_thresholds = {
-        "asd": float(_typed(thresholds, "asd", (int, float), default=0.5)),
-        "fused": float(_typed(thresholds, "fused", (int, float), default=0.4)),
-        "decay": float(_typed(thresholds, "decay", (int, float), default=0.75)),
-    }
-    t_temp = _typed(thresholds, "temporal", (int, float), default=None)
-    out_thresholds["temporal"] = float(t_temp) if t_temp is not None else None
-    return config, out_thresholds
-
-
-# ---------------------------------------------------------------------------
-# external annotation import
-
-
-def import_raw_annotations(path: str | Path, fps: float) -> dict[str, EventSequence]:
-    """Adapter for third-party annotation exports.
-
-    Intended mapping: source video identifier -> video_id, completion frame
-    index -> frame, the annotated action -> (action, component, kind) via a
-    procedure table, and the correctness flag -> correct.
-
-    TODO: finalize the column mapping against the released annotation files.
-    """
-    raise NotImplementedError("external annotation import is not wired up yet")
+    proc = resolve_procedure(proc_spec)
+    config = _from_json(SimConfig, body, procedure=proc, fps=float(proc.fps))
+    return config, dataclasses.asdict(_from_json(Thresholds, thresholds, "thresholds"))
 
 
 def parse_weights(spec: str) -> EditWeights:

@@ -154,21 +154,11 @@ class SimTrace:
 
 
 def heavy_occlusion_config(seed: int, n_videos: int = 3) -> SimConfig:
-    """The documented heavy-occlusion setup used by the trend experiment."""
-    return SimConfig(
-        procedure=toy_motorcycle(),
-        n_videos=n_videos,
-        fps=10.0,
-        step_gap=120.0,
-        occlusion=OcclusionModel(p_occlude=0.15, p_reveal=0.02),
-        asd=AsdModel(confidence=0.9, false_detection_rate=0.0),
-        temporal=TemporalModel(
-            response_frames=30, peak_prob=0.6, hit_prob=0.7, fp_rate=1e-3
-        ),
-        errors=ErrorModel(0.0),
-        seed=seed,
-        tail_frames=600,
-    )
+    """The documented heavy-occlusion setup used by the trend experiment.
+
+    It is the SimConfig defaults on the builtin toy procedure.
+    """
+    return SimConfig(procedure=toy_motorcycle(), n_videos=n_videos, seed=seed)
 
 
 def _ground_truth(proc: Procedure, cfg: SimConfig, rng: np.random.Generator, video_id: str):
@@ -315,6 +305,21 @@ PIPELINES = ("asd", "temporal", "fused")
 
 
 @dataclass(frozen=True)
+class Thresholds:
+    """Filter thresholds of the three pipelines and their shared decay.
+
+    The fused default (0.4) sits below half the detector confidence so a lone
+    revealed-state observation still counts at fused weight 0.5. A temporal
+    threshold of None means the fused one.
+    """
+
+    asd: float = 0.5
+    fused: float = 0.4
+    decay: float = 0.75
+    temporal: float | None = None
+
+
+@dataclass(frozen=True)
 class ExperimentResult:
     """Three-pipeline comparison over one simulated suite."""
 
@@ -337,18 +342,17 @@ class ExperimentResult:
 
 def run_experiment(
     config: SimConfig,
-    t_asd: float = 0.5,
-    t_fused: float = 0.4,
-    t_temporal: float | None = None,
-    decay: float = 0.75,
+    t_asd: float = Thresholds.asd,
+    t_fused: float = Thresholds.fused,
+    t_temporal: float | None = Thresholds.temporal,
+    decay: float = Thresholds.decay,
     weights: EditWeights | None = None,
     traces: list[SimTrace] | None = None,
 ) -> ExperimentResult:
     """Evaluate the state-only, temporal-only, and fused pipelines per trace.
 
-    The fused threshold default (0.4) sits below half the detector confidence
-    so a lone revealed-state observation still counts at fused weight 0.5.
-    Pass `traces` to reuse an existing simulate(config) result.
+    Threshold defaults are those of `Thresholds`. Pass `traces` to reuse an
+    existing simulate(config) result.
     """
     proc = config.procedure
     if proc.fps != config.fps:

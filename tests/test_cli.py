@@ -157,6 +157,31 @@ class TestRecognizeCommand:
                      "--procedure", "toy-motorcycle", "--fuse",
                      "--out", str(tmp_path / "p.jsonl")]) == 2
 
+    def test_fuse_video_missing_from_one_stream(self, tmp_path):
+        # The state detector never sees the object, so the state stream has
+        # no records; fusing must still halve the temporal evidence, as
+        # simulate's fused pipeline does.
+        doc = sim_config_doc(seed=3, n_videos=2)
+        doc["occlusion"] = {"p_occlude": 1.0, "p_reveal": 1e-9}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
+        assert fileio.parse_asd_stream(sim / "asd_stream.jsonl", toy_motorcycle()) == {}
+        pred = tmp_path / "pred.jsonl"
+        assert main(["recognize", "--streams", str(sim / "asd_stream.jsonl"),
+                     str(sim / "temporal_stream.jsonl"),
+                     "--procedure", "toy-motorcycle", "--fuse",
+                     "--threshold", "0.4", "--out", str(pred)]) == 0
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", str(sim / "gt_labels.jsonl"),
+                     "--predictions", str(pred), "--out", str(report)]) == 0
+        comparison = json.loads((sim / "comparison.json").read_text())
+        doc = json.loads(report.read_text())
+        assert doc["aggregate"] == comparison["summary"]["fused"]
+        for vid, reps in comparison["videos"].items():
+            assert doc["videos"][vid] == reps["fused"]
+
     def test_series_output(self, tmp_path):
         toy = toy_motorcycle()
         dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
@@ -211,6 +236,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(config_path),
                      "--out", str(tmp_path / "o")]) == 3
         assert "p_occlude" in capsys.readouterr().err
+
+    def test_non_finite_config_is_a_config_error(self, tmp_path, capsys):
+        doc = sim_config_doc()
+        doc["step_gap"] = float("inf")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "step_gap" in capsys.readouterr().err
 
 
 class TestSampleCommand:

@@ -1,7 +1,12 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from psrkit import (
     ConfidenceFrame,
@@ -13,6 +18,14 @@ from psrkit import (
     evaluate,
     kfs_batch,
     nominal_events,
+    toy_motorcycle,
+)
+from psrkit.simulator import (
+    AsdModel,
+    ErrorModel,
+    OcclusionModel,
+    SimConfig,
+    TemporalModel,
 )
 from psrkit import fileio
 from psrkit.sampling import clip_indices
@@ -194,6 +207,37 @@ class TestStreamCodecs:
             fileio.serialize_temporal_stream(frames, path)
             assert fileio.parse_temporal_stream(path, 4) == frames
 
+    VALID_RECORDS = {
+        "labels": {"action": 0, "component": 0, "correct": True, "fps": 10.0,
+                   "frame": 5, "kind": "install", "video_id": "v"},
+        "asd": {"confidence": 0.9, "frame": 5, "state_id": 1, "video_id": "v"},
+        "temporal": {"frame": 5, "probs": [0.5, 0.0], "video_id": "v"},
+    }
+
+    @pytest.mark.parametrize("kind,field", [
+        ("labels", "frame"),
+        ("labels", "action"),
+        ("labels", "component"),
+        ("asd", "frame"),
+        ("asd", "state_id"),
+        ("asd", "confidence"),
+        ("temporal", "frame"),
+    ])
+    def test_boolean_is_not_a_number(self, toy, tmp_path, kind, field):
+        schema, parse = {
+            "labels": (fileio.LABELS_SCHEMA, lambda path: fileio.parse_labels(path)),
+            "asd": (fileio.ASD_SCHEMA, lambda path: fileio.parse_asd_stream(path, toy)),
+            "temporal": (fileio.TEMPORAL_SCHEMA, fileio.parse_temporal_stream),
+        }[kind]
+        path = tmp_path / "records.jsonl"
+        fileio.write_jsonl(path, schema, [self.VALID_RECORDS[kind]])
+        parse(path)
+        fileio.write_jsonl(path, schema, [{**self.VALID_RECORDS[kind], field: True}])
+        with pytest.raises(SchemaError) as err:
+            parse(path)
+        assert field in str(err.value)
+        assert ":2:" in str(err.value)
+
     def test_peek_schema(self, toy, tmp_path):
         path = tmp_path / "asd.jsonl"
         fileio.serialize_asd_stream({}, path)
@@ -304,9 +348,6 @@ class TestReportsAndWeights:
         with pytest.raises(ValueError):
             fileio.parse_weights("bogus=1")
 
-    def test_import_adapter_is_stub(self, tmp_path):
-        with pytest.raises(NotImplementedError):
-            fileio.import_raw_annotations(tmp_path / "x.csv", fps=10)
 
 
 class TestSimConfigLoader:
@@ -358,3 +399,70 @@ class TestSimConfigLoader:
         doc["thresholds"] = {"asd": 1.0, "fused": 2.0, "temporal": 3.0, "decay": 0.5}
         _, thresholds = fileio.load_sim_config(self.write(tmp_path, doc))
         assert thresholds == {"asd": 1.0, "fused": 2.0, "temporal": 3.0, "decay": 0.5}
+
+    @pytest.mark.parametrize("key,value,field", [
+        ("asd", {"confidnce": 0.9}, "asd.confidnce"),
+        ("temporal", {"hitprob": 0.5}, "temporal.hitprob"),
+        ("errors", {"p_incorect": 0.1}, "errors.p_incorect"),
+        ("occlusion", {"p_occlude": 0.1, "p_reveal": 0.1, "p": 1}, "occlusion.p"),
+        ("thresholds", {"fusd": 0.4}, "thresholds.fusd"),
+        ("step_gap", math.inf, "step_gap"),
+        pytest.param("step_gap", 10**400, "step_gap", id="step_gap-overflows-float"),
+        ("fps", -math.inf, "fps"),
+        ("asd", {"confidence": math.nan}, "asd.confidence"),
+        ("occlusion", {"p_occlude": 0.1, "p_reveal": math.inf}, "occlusion.p_reveal"),
+        ("thresholds", {"fused": math.nan}, "thresholds.fused"),
+        ("thresholds", {"temporal": math.inf}, "thresholds.temporal"),
+        ("temporal", {"response_frames": True}, "temporal.response_frames"),
+        ("temporal", {"response_frames": 30.0}, "temporal.response_frames"),
+        ("asd", [0.9], "asd"),
+        ("thresholds", 0.4, "thresholds"),
+    ])
+    def test_bad_input_names_field(self, tmp_path, key, value, field):
+        doc = self.base_doc()
+        doc[key] = value
+        with pytest.raises(ConfigError) as err:
+            fileio.load_sim_config(self.write(tmp_path, doc))
+        assert err.value.field == field
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"cat > config\.json <<'EOF'\n(.*?)\nEOF\n", readme, re.S)
+        doc = json.loads(block.group(1))
+        config, thresholds = fileio.load_sim_config(self.write(tmp_path, doc))
+        assert config.n_videos == doc["n_videos"]
+        assert config.seed == doc["seed"]
+        assert config.occlusion == OcclusionModel(**doc["occlusion"])
+        assert config.asd == AsdModel(**doc["asd"])
+        assert config.temporal == TemporalModel(**doc["temporal"])
+        assert thresholds["fused"] == doc["thresholds"]["fused"]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_to_dict_round_trip(self, tmp_path, data):
+        prob = st.floats(0.0, 1.0)
+        positive = st.floats(1e-6, 1e6)
+        fp_low, fp_high = sorted(data.draw(st.tuples(prob, prob)))
+        config = SimConfig(
+            procedure=toy_motorcycle(),
+            n_videos=data.draw(st.integers(1, 1000)),
+            fps=data.draw(positive),
+            step_gap=data.draw(positive),
+            occlusion=OcclusionModel(data.draw(prob), data.draw(st.floats(1e-9, 1.0))),
+            asd=AsdModel(data.draw(prob), data.draw(prob)),
+            temporal=TemporalModel(
+                response_frames=data.draw(st.integers(1, 500)),
+                peak_prob=data.draw(prob),
+                hit_prob=data.draw(prob),
+                fp_rate=data.draw(prob),
+                fp_low=fp_low,
+                fp_high=fp_high,
+            ),
+            errors=ErrorModel(data.draw(prob)),
+            seed=data.draw(st.integers(0, 2**64)),
+            tail_frames=data.draw(st.integers(1, 10**6)),
+        )
+        doc = {"schema": fileio.SIM_CONFIG_SCHEMA, "version": 1, **config.to_dict()}
+        loaded, _ = fileio.load_sim_config(self.write(tmp_path, doc))
+        assert loaded == config
