@@ -11,7 +11,16 @@ from .errors import (
     UndefinedMetricError,
     UnknownTransitionError,
 )
-from .filtering import ConfidenceFrame, FilterState, filter_step, fuse, fuse_streams, run_filter
+from .filtering import (
+    ConfidenceFrame,
+    FilterState,
+    ProbStream,
+    filter_step,
+    filter_stream,
+    fuse,
+    fuse_streams,
+    run_filter,
+)
 from .losses import EmbeddingBatch, ProbBatch, multilabel_bce, supcon_loss
 from .metrics import (
     DatasetSummary,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -22,7 +23,12 @@ from .errors import (
     SchemaError,
     UndefinedMetricError,
 )
-from .filtering import ConfidenceFrame, FilterState, filter_step, fuse_streams
+from .filtering import (  # bench/workloads.py wraps filter_step here by name
+    ProbStream,
+    filter_step,  # noqa: F401
+    fuse_streams,
+    run_filter,
+)
 from .metrics import aggregate, evaluate
 from .procedure import EventSequence
 from .sampling import clip_indices, kcas_pmf, kfs_batch, sample_clip_ends
@@ -42,6 +48,16 @@ def _add_parse_mode(p: argparse.ArgumentParser) -> None:
         "--lenient", dest="strict", action="store_false",
         help="log and skip malformed records",
     )
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,16 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--streams", nargs="+", required=True,
                    help="stream files; kind is read from each file's schema header")
     p.add_argument("--procedure", required=True, help="procedure name or file")
-    p.add_argument("--threshold", type=float, default=1.0,
+    p.add_argument("--threshold", type=_finite_float, default=1.0,
                    help="cumulative confidence threshold T (default 1.0)")
-    p.add_argument("--decay", type=float, default=0.75,
+    p.add_argument("--decay", type=_finite_float, default=0.75,
                    help="retention multiplier on evidence-free frames (default 0.75)")
-    p.add_argument("--evidence-floor", type=float, default=0.0,
+    p.add_argument("--evidence-floor", type=_finite_float, default=0.0,
                    help="probabilities at or below this count as no evidence")
     p.add_argument("--fuse", action="store_true",
                    help="require a state and a temporal stream; given both, every "
                         "video is fused, against zeros where one stream lacks it")
-    p.add_argument("--min-confidence", type=float, default=0.0,
+    p.add_argument("--min-confidence", type=_finite_float, default=0.0,
                    help="ignore state detections below this confidence")
     p.add_argument("--out", required=True, help="predictions JSONL output path")
     p.add_argument("--series-out", help="per-step confidence/accumulator CSV")
@@ -98,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--procedure", help="procedure name or file (required for kfs)")
     p.add_argument("--video-len", type=int, help="frames per video (required for kcas)")
-    p.add_argument("--sigma", type=float, default=45.0, help="Gaussian std in frames")
-    p.add_argument("--delta", type=float, default=80.0,
+    p.add_argument("--sigma", type=_finite_float, default=45.0, help="Gaussian std in frames")
+    p.add_argument("--delta", type=_finite_float, default=80.0,
                    help="separation of the two Gaussians from each completion")
     p.add_argument("--window", type=int, default=256, help="clip window w in frames")
     p.add_argument("--clip-frames", type=int, default=64,
                    help="frames sampled per clip (N_w)")
     p.add_argument("--n", type=int, default=100, help="clip draws per video")
-    p.add_argument("--tf", type=float, default=2.0,
+    p.add_argument("--tf", type=_finite_float, default=2.0,
                    help="seconds after a completion eligible for key frames")
     p.add_argument("--n-sample", type=int, default=16, help="real frames per state")
     p.add_argument("--n-syn", type=int, default=0, help="synthetic refs per state")
@@ -145,16 +161,25 @@ def _load_streams(paths, proc, strict):
     return asd, temporal
 
 
-def _densify(frames, video_len, n_steps, stream_id):
-    by_frame = {f.frame: f for f in frames}
-    zero = tuple(0.0 for _ in range(n_steps))
-    out = []
-    for t in range(video_len):
-        f = by_frame.get(t)
-        if f is None:
-            f = ConfidenceFrame(frame=t, probs=zero, stream_id=stream_id)
-        out.append(f)
-    return out
+def _densify(stream: ProbStream | None, video_len: int, n_steps: int) -> ProbStream:
+    """A temporal stream with a row for every frame, zero where `stream` has none."""
+    probs = np.zeros((video_len, n_steps))
+    if stream is not None:
+        probs[stream.frames] = stream.probs
+    return ProbStream.dense(probs, "temporal")
+
+
+def _series_rows(vid, stream: ProbStream, record: np.ndarray, proc):
+    """Per frame, each step that is ever positive: its prob and accumulator."""
+    active = np.flatnonzero((stream.probs > 0).any(axis=0)).tolist()
+    actions = [proc.actions[k] for k in active]
+    probs = stream.probs[:, active].tolist()
+    accs = record[:, active].tolist()
+    return [
+        (vid, frame, k, action, p, a)
+        for frame, prow, arow in zip(stream.frames.tolist(), probs, accs)
+        for k, action, p, a in zip(active, actions, prow, arow)
+    ]
 
 
 def cmd_evaluate(args) -> int:
@@ -211,46 +236,29 @@ def cmd_recognize(args) -> int:
     series_rows = []
     for vid in videos:
         dets = (asd or {}).get(vid, [])
-        temp = (temporal or {}).get(vid, [])
-        video_len = 0
-        if dets:
-            video_len = max(video_len, dets[-1].frame + 1)
-        if temp:
-            video_len = max(video_len, temp[-1].frame + 1)
-        if video_len == 0:
-            predictions[vid] = EventSequence((), video_id=vid, fps=proc.fps)
-            continue
+        temp = (temporal or {}).get(vid)
+        video_len = max(
+            dets[-1].frame + 1 if dets else 0,
+            int(temp.frames[-1]) + 1 if temp is not None else 0,
+        )
         if fused:
             stream = fuse_streams(
                 asd_stream_probs(dets, proc, video_len,
                                  min_confidence=args.min_confidence),
-                _densify(temp, video_len, proc.n_steps, "temporal"),
+                _densify(temp, video_len, proc.n_steps),
             )
         elif dets:
             stream = asd_stream_probs(dets, proc, video_len,
                                       min_confidence=args.min_confidence)
         else:
-            stream = _densify(temp, video_len, proc.n_steps, "temporal")
-        state = FilterState(
-            procedure=proc,
-            threshold=args.threshold,
-            decay=args.decay,
-            evidence_floor=args.evidence_floor,
+            stream = _densify(temp, video_len, proc.n_steps)
+        record = np.empty(stream.probs.shape) if args.series_out else None
+        predictions[vid] = run_filter(
+            stream, proc, args.threshold, args.decay, args.evidence_floor,
+            video_id=vid, record=record,
         )
-        events = []
-        active = {
-            k for f in stream for k, p in enumerate(f.probs) if p > 0
-        }
-        for f in stream:
-            _, emitted = filter_step(state, f)
-            events.extend(emitted)
-            if args.series_out:
-                for k in sorted(active):
-                    series_rows.append(
-                        (vid, f.frame, k, proc.actions[k], f.probs[k],
-                         state.accumulators[k])
-                    )
-        predictions[vid] = EventSequence.from_events(events, video_id=vid, fps=proc.fps)
+        if record is not None:
+            series_rows.extend(_series_rows(vid, stream, record, proc))
     fileio.serialize_labels(predictions, args.out)
     if args.series_out:
         fileio.write_series_csv(series_rows, args.series_out)
@@ -332,12 +340,7 @@ def cmd_sample(args) -> int:
     if not args.procedure:
         raise ValueError("--procedure is required for kfs sampling")
     proc = fileio.resolve_procedure(args.procedure)
-    pool = None
-    if args.synthetic_pool:
-        import json
-
-        raw = json.loads(Path(args.synthetic_pool).read_text())
-        pool = {int(k): list(v) for k, v in raw.items()}
+    pool = fileio.load_synthetic_pool(args.synthetic_pool) if args.synthetic_pool else None
     spec = kfs_batch(
         labels,
         proc,

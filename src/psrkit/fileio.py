@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .filtering import ConfidenceFrame
+from .filtering import ConfidenceFrame, ProbStream, as_stream, in_unit_interval
 from .losses import EmbeddingBatch, ProbBatch
 from .metrics import DatasetSummary, EditWeights, EvaluationReport
 from .procedure import (
@@ -50,22 +50,27 @@ SIM_CONFIG_SCHEMA = "psrkit/sim-config"
 COMPARISON_SCHEMA = "psrkit/comparison"
 
 
-def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+canonical_dumps: Callable[[Any], str] = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":")
+).encode
 
 
 def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def read_json(path: str | Path, schema: str) -> dict:
-    path = Path(path)
+def _read_object(path: Path) -> dict:
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}", path=str(path)) from e
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object", path=str(path))
+    return doc
+
+
+def read_json(path: str | Path, schema: str) -> dict:
+    doc = _read_object(Path(path))
     _check_header(doc, schema, str(path), 1)
     return doc
 
@@ -150,6 +155,10 @@ def _int_field(rec: dict, name: str, path: str, lineno: int, non_negative: bool 
         kind = "a non-negative integer" if non_negative else "an integer"
         raise SchemaError(f"{name} must be {kind}, got {value!r}", path, lineno)
     return value
+
+
+# JSON numbers; bool is an int subclass, so type() rather than isinstance()
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def _collect(
@@ -330,14 +339,15 @@ def parse_asd_stream(
 
 
 def serialize_temporal_stream(
-    frames: Mapping[str, Sequence[ConfidenceFrame]], path: str | Path
+    frames: Mapping[str, ProbStream | Sequence[ConfidenceFrame]], path: str | Path
 ) -> None:
     records = []
     for video_id in sorted(frames):
-        for f in frames[video_id]:
-            records.append(
-                {"frame": f.frame, "probs": list(f.probs), "video_id": video_id}
-            )
+        stream = as_stream(frames[video_id])
+        records.extend(
+            {"frame": frame, "probs": probs, "video_id": video_id}
+            for frame, probs in zip(stream.frames.tolist(), stream.probs.tolist())
+        )
     write_jsonl(path, TEMPORAL_SCHEMA, records)
 
 
@@ -345,8 +355,11 @@ def parse_temporal_stream(
     path: str | Path,
     n_steps: int | None = None,
     strict: bool = True,
-) -> dict[str, list[ConfidenceFrame]]:
+) -> dict[str, ProbStream]:
+    """One "temporal" stream per video. Every row of a video has the same
+    length: `n_steps` if given, else that of the video's first row."""
     spath = str(path)
+    width_of: dict[str, int] = {}
 
     def parse_one(rec: dict, lineno: int):
         video_id = str(_field(rec, "video_id", spath, lineno))
@@ -354,32 +367,47 @@ def parse_temporal_stream(
         probs = _field(rec, "probs", spath, lineno)
         if not isinstance(probs, list):
             raise SchemaError("probs must be a list", spath, lineno)
-        if n_steps is not None and len(probs) != n_steps:
+        width = width_of.setdefault(video_id, len(probs) if n_steps is None else n_steps)
+        if len(probs) != width:
             raise SchemaError(
-                f"frame {frame}: probs has length {len(probs)}, expected {n_steps}",
+                f"frame {frame}: probs has length {len(probs)}, expected {width}",
                 spath,
                 lineno,
             )
-        if any(
-            not isinstance(p, (int, float)) or isinstance(p, bool) or not 0 <= p <= 1
-            for p in probs
-        ):
+        types = set(map(type, probs))
+        # Ranges are checked per video below, once the floats are an array;
+        # a JSON integer other than 0 or 1 may not even fit in one.
+        if not types <= _NUMBER_TYPES or (int in types and not in_unit_interval(probs)):
             raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
-        return video_id, ConfidenceFrame(
-            frame=frame, probs=tuple(float(p) for p in probs), stream_id="temporal"
-        )
+        return video_id, lineno, frame, probs
 
     _, rows = _collect(path, TEMPORAL_SCHEMA, parse_one, strict)
-    out: dict[str, list[ConfidenceFrame]] = {}
-    last: dict[str, int] = {}
-    for video_id, frame in rows:
-        if video_id in last and frame.frame <= last[video_id]:
+    by_video: dict[str, list] = {}
+    for video_id, *row in rows:
+        by_video.setdefault(video_id, []).append(row)
+    out = {}
+    for video_id, video_rows in by_video.items():
+        lines, frames, probs = zip(*video_rows)
+        probs = np.array(probs, dtype=np.float64).reshape(len(lines), width_of[video_id])
+        keep = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+        for t in np.flatnonzero(~keep).tolist():
+            err = SchemaError(f"frame {frames[t]}: probabilities outside [0, 1]", spath, lines[t])
+            if strict:
+                raise err
+            log.warning("skipping bad record: %s", err)
+        if not keep.any():
+            continue  # every row of this video was skipped
+        lines = [line for line, ok in zip(lines, keep.tolist()) if ok]
+        frames = np.array(frames, dtype=np.int64)[keep]
+        late = np.flatnonzero(frames[1:] <= frames[:-1]) + 1
+        if late.size:
+            t = late[0]
             raise SchemaError(
-                f"video {video_id!r}: frame {frame.frame} not after frame {last[video_id]}",
+                f"video {video_id!r}: frame {frames[t]} not after frame {frames[t - 1]}",
                 spath,
+                lines[t],
             )
-        last[video_id] = frame.frame
-        out.setdefault(video_id, []).append(frame)
+        out[video_id] = ProbStream(frames, probs[keep], "temporal")
     return out
 
 
@@ -565,20 +593,20 @@ def parse_kfs_batch(path: str | Path) -> KfsBatchSpec:
     spath = str(path)
 
     def parse_one(rec: dict, lineno: int):
-        try:
-            source = rec["source"]
-            if source == "real":
-                return KfsEntry(
-                    state_id=rec["state_id"],
-                    source="real",
-                    video_id=str(rec["video_id"]),
-                    frame=int(rec["frame"]),
-                )
-            if source == "synthetic":
-                return KfsEntry(state_id=rec["state_id"], source="synthetic", ref=rec["ref"])
-            raise SchemaError(f"unknown source {source!r}", spath, lineno)
-        except KeyError as e:
-            raise SchemaError(f"missing field {e}", spath, lineno) from e
+        source = _field(rec, "source", spath, lineno)
+        state_id = _int_field(rec, "state_id", spath, lineno, non_negative=False)
+        if source == "real":
+            return KfsEntry(
+                state_id=state_id,
+                source="real",
+                video_id=str(_field(rec, "video_id", spath, lineno)),
+                frame=_int_field(rec, "frame", spath, lineno),
+            )
+        if source == "synthetic":
+            return KfsEntry(
+                state_id=state_id, source="synthetic", ref=_field(rec, "ref", spath, lineno)
+            )
+        raise SchemaError(f"unknown source {source!r}", spath, lineno)
 
     header, entries = _collect(path, KFS_BATCH_SCHEMA, parse_one, strict=True)
     try:
@@ -592,6 +620,22 @@ def parse_kfs_batch(path: str | Path) -> KfsBatchSpec:
         )
     except KeyError as e:
         raise SchemaError(f"batch header missing {e}", spath, line=1) from e
+
+
+def load_synthetic_pool(path: str | Path) -> dict[int, list]:
+    """A JSON object mapping each state id (a string key) to a list of references."""
+    path = Path(path)
+    raw = _read_object(path)
+    pool = {}
+    for key, refs in raw.items():
+        try:
+            state_id = int(key)
+        except ValueError:
+            raise SchemaError(f"state id {key!r} is not an integer", path=str(path)) from None
+        if not isinstance(refs, list):
+            raise SchemaError(f"state {key}: references must be a list", path=str(path))
+        pool[state_id] = refs
+    return pool
 
 
 # ---------------------------------------------------------------------------

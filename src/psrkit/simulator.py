@@ -22,7 +22,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ConfigError
-from .filtering import ConfidenceFrame, fuse_streams, run_filter
+from .filtering import ProbStream, fuse_streams, run_filter
 from .metrics import DatasetSummary, EditWeights, EvaluationReport, aggregate, evaluate
 from .procedure import (
     EventSequence,
@@ -145,7 +145,7 @@ class SimTrace:
 
     ground_truth: EventSequence
     asd_detections: tuple[StateDetection, ...]
-    temporal_frames: tuple[ConfidenceFrame, ...]
+    temporal_frames: ProbStream
     occlusion_mask: tuple[bool, ...]
 
     @property
@@ -260,10 +260,7 @@ def _temporal_stream(
         hits = rng.random((length, proc.n_steps)) < model.fp_rate
         probs[hits] += rng.uniform(model.fp_low, model.fp_high, size=int(hits.sum()))
     np.clip(probs, 0.0, 1.0, out=probs)
-    return tuple(
-        ConfidenceFrame(frame=t, probs=tuple(probs[t]), stream_id="temporal")
-        for t in range(length)
-    )
+    return ProbStream.dense(probs, "temporal")
 
 
 def simulate(config: SimConfig) -> list[SimTrace]:
@@ -370,7 +367,7 @@ def run_experiment(
                 trace.temporal_frames, proc, t_temporal, decay, video_id=vid
             ),
             "fused": run_filter(
-                fuse_streams(asd_probs, list(trace.temporal_frames)),
+                fuse_streams(asd_probs, trace.temporal_frames),
                 proc,
                 t_fused,
                 decay,

@@ -9,13 +9,14 @@ same recognition filter as any other stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import StreamOrderError, StructureError, UnknownTransitionError
-from .filtering import ConfidenceFrame
+from .filtering import ProbStream
 from .procedure import ActionId, AssemblyState, Procedure, state_diff
 
 
@@ -66,18 +67,20 @@ def asd_stream_probs(
     video_len: int,
     min_confidence: float = 0.0,
     constant_confidence: bool = False,
-) -> list[ConfidenceFrame]:
+) -> ProbStream:
     """Per-frame step probabilities implied by a detection sequence.
 
-    Emits one frame per index in [0, video_len): on a frame whose detection
-    implies a state transition, every inferred step carries the detection's
-    confidence (or 1.0 with `constant_confidence`); all other frames are
-    all-zero, driving decay downstream. The remembered previous state is the
-    last detection whose steps were emitted, so a flickering detector cannot
-    re-infer the same transition.
+    Returns a dense "asd" stream, one row per frame in [0, video_len): on
+    a frame whose detection implies a state transition, every inferred step
+    carries the detection's confidence (or 1.0 with `constant_confidence`);
+    all other frames are all-zero, driving decay downstream. The remembered
+    previous state is the last detection whose steps were emitted, so a
+    flickering detector cannot re-infer the same transition.
     """
     if video_len <= 0:
         raise ValueError(f"video_len must be positive, got {video_len}")
+    if math.isnan(min_confidence):
+        raise ValueError("min_confidence must be a number, got nan")
     probs = np.zeros((video_len, proc.n_steps))
     accepted: StateDetection | None = None
     last_frame = -1
@@ -100,7 +103,4 @@ def asd_stream_probs(
         for action, _ in steps:
             probs[det.frame, proc.step_index(action)] = value
         accepted = det
-    return [
-        ConfidenceFrame(frame=f, probs=tuple(probs[f]), stream_id="asd")
-        for f in range(video_len)
-    ]
+    return ProbStream.dense(probs, "asd")

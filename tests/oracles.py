@@ -11,6 +11,35 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
+
+def filter_fold(proc, frames, rows, threshold, decay=0.75, evidence_floor=0.0):
+    """The recognition filter one frame at a time, as first written.
+
+    Returns (events, accumulators after each frame, last kind per component,
+    last frame).
+    """
+    acc = np.zeros(proc.n_steps)
+    last_kind = [None] * proc.n_components
+    events, history = [], []
+    last_frame = None
+    for frame, row in zip(frames, rows):
+        probs = np.asarray(row, dtype=float)
+        evidence = probs > evidence_floor
+        acc = np.where(evidence, acc + probs, acc * decay)
+        for k in np.nonzero(acc >= threshold - 1e-9)[0]:
+            action = proc.actions[int(k)]
+            component, kind = proc.effect(action)
+            if last_kind[component] == kind:
+                continue  # already recognized; wait for the opposing event
+            events.append(proc.make_event(action, frame))
+            last_kind[component] = kind
+            acc[int(k)] = 0.0
+        history.append(acc.copy())
+        last_frame = frame
+    return events, history, last_kind, last_frame
+
 
 def brute_edit_distance(a, b, ins=1.0, delete=1.0, sub=1.0, trans=1.0):
     """Cheapest op sequence turning `a` into `b`, by uniform-cost search.

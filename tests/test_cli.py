@@ -182,6 +182,30 @@ class TestRecognizeCommand:
         for vid, reps in comparison["videos"].items():
             assert doc["videos"][vid] == reps["fused"]
 
+    @pytest.mark.parametrize("flag", ["--threshold", "--decay", "--evidence-floor",
+                                      "--min-confidence"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        toy = toy_motorcycle()
+        dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
+        stream = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(dets, stream)
+        with pytest.raises(SystemExit) as exit_:
+            main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                  f"{flag}={value}", "--out", str(tmp_path / "p.jsonl")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err
+
+    def test_out_of_range_threshold_exits_2(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
+        stream = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(dets, stream)
+        assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                     "--threshold", "0", "--out", str(tmp_path / "p.jsonl")]) == 2
+        assert "threshold" in capsys.readouterr().err
+
     def test_series_output(self, tmp_path):
         toy = toy_motorcycle()
         dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
@@ -298,6 +322,28 @@ class TestSampleCommand:
                      "--out", str(out)]) == 0
         spec = fileio.parse_kfs_batch(out)
         assert sum(1 for e in spec.entries if e.source == "synthetic") == 88
+
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "kcas", "--video-len", "900", "--sigma=nan"],
+        ["--mode", "kcas", "--video-len", "900", "--delta=inf"],
+        ["--mode", "kfs", "--procedure", "toy-motorcycle", "--tf=inf"],
+    ])
+    def test_non_finite_flag_is_a_usage_error(self, tmp_path, labels_path, capsys, args):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sample", "--labels", labels_path, *args,
+                  "--out", str(tmp_path / "o.jsonl")])
+        assert exit_.value.code == 2
+        assert args[-1].split("=")[1] in capsys.readouterr().err
+
+    def test_kfs_malformed_pool_is_a_parse_failure(self, tmp_path, labels_path, capsys):
+        pool_path = tmp_path / "pool.json"
+        pool_path.write_text("{not json")
+        assert main(["sample", "--labels", labels_path, "--mode", "kfs",
+                     "--procedure", "toy-motorcycle", "--n-syn", "8",
+                     "--synthetic-pool", str(pool_path),
+                     "--out", str(tmp_path / "batch.jsonl")]) == 3
+        assert str(pool_path) in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from psrkit import (
     ConfidenceFrame,
     ConfigError,
     EditWeights,
+    ProbStream,
     SchemaError,
     StateDetection,
     aggregate,
@@ -179,7 +181,9 @@ class TestStreamCodecs:
         }
         path = tmp_path / "temporal.jsonl"
         fileio.serialize_temporal_stream(frames, path)
-        assert fileio.parse_temporal_stream(path, n_steps=2) == frames
+        assert fileio.parse_temporal_stream(path, n_steps=2) == {
+            "v0": ProbStream.from_frames(frames["v0"])
+        }
 
     def test_temporal_wrong_length_names_frame(self, tmp_path):
         path = tmp_path / "temporal.jsonl"
@@ -205,7 +209,75 @@ class TestStreamCodecs:
             }
             path = tmp_path / f"t{trial}.jsonl"
             fileio.serialize_temporal_stream(frames, path)
-            assert fileio.parse_temporal_stream(path, 4) == frames
+            assert fileio.parse_temporal_stream(path, 4) == {
+                "v": ProbStream.from_frames(frames["v"])
+            }
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_temporal_codec_is_the_identity(self, tmp_path, data):
+        """serialize -> parse returns the streams, gappy frames and all, and
+        serializing the parsed streams again writes the same bytes."""
+        streams = {}
+        for video_id in data.draw(st.sets(st.text(min_size=1, max_size=6),
+                                          min_size=1, max_size=3)):
+            gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+            frames = list(accumulate(gaps, initial=data.draw(st.integers(0, 10**9))))[:-1]
+            width = data.draw(st.integers(0, 5))
+            row = st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width)
+            probs = [data.draw(row) for _ in frames]
+            streams[video_id] = ProbStream(
+                frames, np.array(probs).reshape(len(frames), width), "temporal"
+            )
+        path = tmp_path / "t.jsonl"
+        fileio.serialize_temporal_stream(streams, path)
+        parsed = fileio.parse_temporal_stream(path)
+        assert parsed == streams
+        again = tmp_path / "again.jsonl"
+        fileio.serialize_temporal_stream(parsed, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_ragged_rows_name_the_line(self, tmp_path, caplog):
+        path = tmp_path / "temporal.jsonl"
+        fileio.write_jsonl(path, fileio.TEMPORAL_SCHEMA, [
+            {"frame": 0, "probs": [0.5, 0.0], "video_id": "v"},
+            {"frame": 1, "probs": [0.5], "video_id": "w"},
+            {"frame": 2, "probs": [0.5, 0.0, 0.25], "video_id": "v"},
+            {"frame": 3, "probs": [0.0, 1.0], "video_id": "v"},
+        ])
+        with pytest.raises(SchemaError, match=r":4: frame 2: probs has length 3, expected 2"):
+            fileio.parse_temporal_stream(path)
+        parsed = fileio.parse_temporal_stream(path, strict=False)
+        assert parsed["v"] == ProbStream([0, 3], [[0.5, 0.0], [0.0, 1.0]], "temporal")
+        assert parsed["w"] == ProbStream([1], [[0.5]], "temporal")
+        assert "frame 2" in caplog.text
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity", "1.5", "-0.5", "2", "1e400"])
+    def test_temporal_bad_probability_names_the_line(self, tmp_path, bad):
+        path = tmp_path / "temporal.jsonl"
+        path.write_text(
+            '{"schema":"psrkit/temporal-stream","version":1}\n'
+            '{"frame":0,"probs":[0.5,0.0],"video_id":"v"}\n'
+            f'{{"frame":4,"probs":[0.5,{bad}],"video_id":"v"}}\n'
+        )
+        with pytest.raises(SchemaError, match=r":3: frame 4: probabilities outside"):
+            fileio.parse_temporal_stream(path)
+        assert len(fileio.parse_temporal_stream(path, strict=False)["v"]) == 1
+        path.write_text(
+            '{"schema":"psrkit/temporal-stream","version":1}\n'
+            f'{{"frame":4,"probs":[0.5,{bad}],"video_id":"v"}}\n'
+        )
+        assert fileio.parse_temporal_stream(path, strict=False) == {}
+
+    def test_temporal_order_names_the_line(self, tmp_path):
+        path = tmp_path / "temporal.jsonl"
+        fileio.write_jsonl(path, fileio.TEMPORAL_SCHEMA, [
+            {"frame": 5, "probs": [0.5], "video_id": "v"},
+            {"frame": 5, "probs": [0.5], "video_id": "v"},
+        ])
+        with pytest.raises(SchemaError, match=r":3: video 'v': frame 5 not after frame 5"):
+            fileio.parse_temporal_stream(path)
 
     VALID_RECORDS = {
         "labels": {"action": 0, "component": 0, "correct": True, "fps": 10.0,
@@ -276,6 +348,37 @@ class TestSamplerCodecs:
         path = tmp_path / "batch.jsonl"
         fileio.write_kfs_batch(path, spec, {"seed": 3})
         assert fileio.parse_kfs_batch(path) == spec
+
+    @pytest.mark.parametrize("source,field,value", [
+        ("real", "frame", True),
+        ("real", "frame", "7"),
+        ("real", "frame", 7.9),
+        ("real", "frame", None),
+        ("real", "frame", -1),
+        ("real", "state_id", "zz"),
+        ("real", "state_id", True),
+        ("synthetic", "state_id", None),
+        ("synthetic", "state_id", 1.0),
+    ])
+    def test_kfs_bad_integer_names_the_line(self, tmp_path, source, field, value):
+        record = {"source": "real", "state_id": 1, "video_id": "v", "frame": 7}
+        if source == "synthetic":
+            record = {"source": "synthetic", "state_id": 1, "ref": "r"}
+        header = {"t_f": 2.0, "n_sample": 1, "n_syn": 1, "n_state": 1, "fps": 10.0}
+        path = tmp_path / "batch.jsonl"
+        fileio.write_jsonl(path, fileio.KFS_BATCH_SCHEMA, [record], header_extra=header)
+        fileio.parse_kfs_batch(path)
+        fileio.write_jsonl(path, fileio.KFS_BATCH_SCHEMA, [{**record, field: value}],
+                           header_extra=header)
+        with pytest.raises(SchemaError, match=f":2: {field} must be"):
+            fileio.parse_kfs_batch(path)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"x": ["a"]}', '{"1": "a"}'])
+    def test_bad_synthetic_pool_names_the_file(self, tmp_path, text):
+        path = tmp_path / "pool.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match="pool.json"):
+            fileio.load_synthetic_pool(path)
 
     def test_occlusion_round_trip(self, tmp_path):
         masks = {"v0": [True, False, True], "v1": [False]}

@@ -1,21 +1,30 @@
 import math
+from itertools import accumulate, pairwise
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrkit import (
     AlignmentError,
     ConfidenceFrame,
+    EventSequence,
     FilterState,
     INSTALL,
+    REMOVE,
     Procedure,
+    ProbStream,
     StreamOrderError,
+    StructureError,
     filter_step,
+    filter_stream,
     fuse,
     fuse_streams,
     run_filter,
 )
 
+from oracles import filter_fold
 from util import constant_stream
 
 
@@ -28,6 +37,15 @@ def quad():
         action_effects={i: (i, INSTALL) for i in range(4)},
         fps=10,
     )
+
+
+# Install and remove of three components: steps 0-2 install, 3-5 remove.
+TOGGLE = Procedure(
+    components=("a", "b", "c"),
+    actions=tuple(range(6)),
+    action_effects={i: (i % 3, INSTALL if i < 3 else REMOVE) for i in range(6)},
+    fps=10,
+)
 
 
 def random_stream(rng, n_steps, n_frames, density=0.3, start=0):
@@ -85,6 +103,26 @@ class TestFilterStep:
             ConfidenceFrame(frame=0, probs=(1.2, 0.0))
         with pytest.raises(ValueError):
             ConfidenceFrame(frame=0, probs=(-0.1, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [0, 17, 34])
+    def test_non_finite_probability_rejected(self, bad, at):
+        probs = [0.0] * 35
+        probs[at] = bad
+        with pytest.raises(ValueError, match="frame 3"):
+            ConfidenceFrame(frame=3, probs=tuple(probs))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"threshold": math.nan},
+        {"threshold": math.inf},
+        {"threshold": 0.0},
+        {"threshold": 1.0, "evidence_floor": math.nan},
+        {"threshold": 1.0, "evidence_floor": math.inf},
+        {"threshold": 1.0, "decay": math.nan},
+    ])
+    def test_bad_parameters_rejected(self, quad, kwargs):
+        with pytest.raises(ValueError, match="nan|inf|0.0"):
+            FilterState(procedure=quad, **kwargs)
 
     def test_wrong_length_rejected(self, quad):
         state = FilterState(procedure=quad, threshold=1.0)
@@ -176,6 +214,128 @@ class TestRunFilter:
             ] == [(e.action, e.frame) for e in events]
 
 
+def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame=(False,)):
+    """Filter `rows` in chunks split at `cuts`, each chunk block-wise or one
+    frame at a time, and compare with the reference fold: same events and
+    bitwise-equal state. Also checks `run_filter` and its recorded
+    accumulators. Returns the events."""
+    stream = ProbStream(frames, np.array(rows, dtype=float).reshape(len(frames), 6))
+    state = FilterState(procedure=TOGGLE, threshold=threshold, decay=decay,
+                        evidence_floor=floor)
+    events = []
+    for (lo, hi), one_by_one in zip(pairwise([0, *cuts, len(frames)]), per_frame):
+        if one_by_one:
+            for f in stream[lo:hi]:
+                events.extend(filter_step(state, f)[1])
+        else:
+            events.extend(filter_stream(state, stream[lo:hi]))
+
+    ref_events, history, ref_kind, ref_last = filter_fold(
+        TOGGLE, frames, rows, threshold, decay, floor
+    )
+    assert events == ref_events
+    final = history[-1] if history else np.zeros(6)
+    assert state.accumulators.tobytes() == final.tobytes()
+    assert state.last_kind == ref_kind
+    assert state.last_frame == ref_last
+
+    record = np.empty(stream.probs.shape)
+    whole = run_filter(stream, TOGGLE, threshold, decay, floor, record=record)
+    assert whole == EventSequence.from_events(ref_events, video_id="video", fps=10)
+    assert record.tobytes() == np.array(history).reshape(record.shape).tobytes()
+    return events
+
+
+class TestFilterStream:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_chunking_equals_frame_fold(self, data):
+        gaps = data.draw(st.lists(st.integers(1, 4), max_size=60))
+        frames = list(accumulate(gaps, initial=data.draw(st.integers(0, 5))))[:-1]
+        value = st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0)
+        row = st.just([0.0] * 6) | st.lists(value, min_size=6, max_size=6)
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(frames)), max_size=8))))
+        check_against_fold(
+            frames,
+            [data.draw(row) for _ in frames],
+            threshold=data.draw(st.floats(0.05, 3.0)),
+            decay=data.draw(st.floats(0.05, 1.0)),
+            floor=data.draw(st.just(0.0) | st.floats(0.0, 0.5)),
+            cuts=cuts,
+            per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
+                                         max_size=len(cuts) + 1)),
+        )
+
+    def test_held_crossing_emits_on_a_silent_frame(self):
+        # Step 0 (install a) is held at frames 1 and 2; the remove of a at
+        # frame 2 reopens it, and frame 3 carries no evidence at all.
+        rows = [[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0],
+                [1.0, 0, 0, 1.0, 0, 0], [0.0] * 6]
+        events = check_against_fold([0, 1, 2, 3], rows, 0.5, 0.75, 0.0)
+        assert [(e.action, e.frame) for e in events] == [(0, 0), (3, 2), (0, 3)]
+
+    def test_continues_a_stepped_state(self, quad):
+        state = FilterState(procedure=quad, threshold=1.0)
+        filter_step(state, constant_stream(4, 0, 0.6, [0])[0])
+        with pytest.raises(StreamOrderError):
+            filter_stream(state, ProbStream([0], [[0.6, 0, 0, 0]]))
+        out = filter_stream(state, ProbStream([1], [[0.6, 0, 0, 0]]))
+        assert [(e.action, e.frame) for e in out] == [(0, 1)]
+
+    def test_wrong_width_rejected(self, quad):
+        state = FilterState(procedure=quad, threshold=1.0)
+        with pytest.raises(StructureError, match="expected 4"):
+            filter_stream(state, ProbStream.dense(np.zeros((3, 5))))
+
+
+class TestProbStream:
+    def test_validated_at_construction(self):
+        with pytest.raises(StructureError):
+            ProbStream([0, 1], np.zeros((3, 2)))
+        with pytest.raises(StructureError):
+            ProbStream([0.0, 1.0], np.zeros((2, 2)))
+        with pytest.raises(StructureError):
+            ProbStream([-1, 0], np.zeros((2, 2)))
+        with pytest.raises(StreamOrderError, match="frame 4 arrived after frame 4"):
+            ProbStream([2, 4, 4], np.zeros((3, 2)))
+        with pytest.raises(StructureError):
+            ProbStream.dense(np.zeros((2, 2)), kind="other")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
+    def test_bad_probability_names_frame(self, bad):
+        probs = np.zeros((4, 35))
+        probs[2, 34] = bad
+        with pytest.raises(ValueError, match="frame 12"):
+            ProbStream([10, 11, 12, 13], probs)
+
+    def test_read_only_copy(self):
+        probs = np.zeros((2, 2))
+        stream = ProbStream.dense(probs)
+        probs[0, 0] = 1.0
+        assert stream.probs[0, 0] == 0.0
+        with pytest.raises(ValueError):
+            stream.probs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            stream.frames[0] = 5
+
+    def test_frame_view(self):
+        stream = ProbStream([3, 7], [[0.25, 0.0], [0.5, 1.0]], "temporal")
+        frames = [ConfidenceFrame(3, (0.25, 0.0), "temporal"),
+                  ConfidenceFrame(7, (0.5, 1.0), "temporal")]
+        assert len(stream) == 2
+        assert list(stream) == frames
+        assert stream[-1] == frames[1]
+        assert hash(stream[0].probs) == hash((0.25, 0.0))
+        assert stream[1:] == ProbStream.from_frames(frames[1:])
+        assert ProbStream.from_frames(frames) == stream
+        assert stream != ProbStream([3, 7], [[0.25, 0.0], [0.5, 1.0]], "asd")
+
+    def test_ragged_frames_rejected(self):
+        frames = [ConfidenceFrame(0, (0.1, 0.2)), ConfidenceFrame(1, (0.1,))]
+        with pytest.raises(StructureError, match="frame 1"):
+            ProbStream.from_frames(frames)
+
+
 class TestEligibility:
     def test_no_reemission_without_opposing_event(self, toy):
         # hammer install step 0 forever; it must emit exactly once
@@ -258,3 +418,27 @@ class TestFuse:
         a = [ConfidenceFrame(frame=0, probs=(0.1,), stream_id="asd")]
         with pytest.raises(AlignmentError):
             fuse_streams(a, [])
+
+    def test_stream_fusion_frame_mismatch(self):
+        a = ProbStream([0, 1], [[0.1], [0.2]], "asd")
+        b = ProbStream([0, 2], [[0.1], [0.2]], "temporal")
+        with pytest.raises(AlignmentError, match="1 vs 2"):
+            fuse_streams(a, b)
+
+    def test_stream_fusion_equals_frame_fusion(self):
+        rng = np.random.default_rng(10)
+        a = random_stream(rng, 5, 40)
+        b = random_stream(rng, 5, 40)
+        frames = [fuse(x, y, 0.3, 0.7) for x, y in zip(a, b)]
+        assert fuse_streams(a, b, 0.3, 0.7) == ProbStream.from_frames(frames)
+        assert fuse_streams(ProbStream.from_frames(a), b, 0.3, 0.7) == fuse_streams(
+            a, ProbStream.from_frames(b), 0.3, 0.7
+        )
+
+    def test_accepted_weights_never_raise(self):
+        # The weights sum to 1 + 5e-13, inside the accepted tolerance.
+        a = ConfidenceFrame(frame=0, probs=(1.0, 0.5), stream_id="asd")
+        b = ConfidenceFrame(frame=0, probs=(1.0, 0.5), stream_id="temporal")
+        assert fuse(a, b, 0.6000000000005, 0.4).probs == (1.0, 0.5 * 0.6000000000005 + 0.5 * 0.4)
+        fused = fuse_streams([a], [b], 0.6000000000005, 0.4)
+        assert fused[0] == fuse(a, b, 0.6000000000005, 0.4)

@@ -73,6 +73,17 @@ class TestAsdStreamProbs:
         assert all(p == 0.9 for p in (hot[0], hot[4], hot[8]))
         assert all(max(f.probs) == 0.0 for f in frames if f.frame != 50)
 
+    def test_returns_one_dense_state_stream(self, toy):
+        stream = asd_stream_probs([det(toy, 1, 50)], toy, video_len=60)
+        assert stream.kind == "asd"
+        assert stream.probs.shape == (60, toy.n_steps)
+        assert stream.frames.tolist() == list(range(60))
+        assert np.flatnonzero(stream.probs[50]).tolist() == [0, 4, 8]
+
+    def test_nan_min_confidence_rejected(self, toy):
+        with pytest.raises(ValueError, match="nan"):
+            asd_stream_probs([det(toy, 1, 5)], toy, video_len=10, min_confidence=float("nan"))
+
     def test_repeated_state_goes_quiet(self, toy):
         frames = asd_stream_probs(
             [det(toy, 1, 10), det(toy, 1, 11), det(toy, 1, 12)], toy, video_len=20
