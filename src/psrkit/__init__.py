@@ -45,7 +45,6 @@ from .procedure import (
     Procedure,
     StepEvent,
     cumulative_state,
-    frame_to_seconds,
     nominal_events,
     state_diff,
     toy_motorcycle,

@@ -141,24 +141,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_streams(paths, proc, strict):
     """Split stream files by declared schema into (asd map, temporal map)."""
-    asd = None
-    temporal = None
+    loaded = {}
     for path in paths:
-        schema = fileio.peek_schema(path)
-        if schema == fileio.ASD_SCHEMA:
-            if asd is not None:
-                raise SchemaError("more than one state-detection stream given")
-            asd = fileio.parse_asd_stream(path, proc, strict=strict)
-        elif schema == fileio.TEMPORAL_SCHEMA:
-            if temporal is not None:
-                raise SchemaError("more than one temporal stream given")
-            n = proc.n_steps if proc is not None else None
-            temporal = fileio.parse_temporal_stream(path, n, strict=strict)
-        else:
-            raise SchemaError(
-                f"not a recognized stream schema: {schema!r}", path=str(path)
-            )
-    return asd, temporal
+        schema, data = fileio.parse_stream(path, proc, strict)
+        if schema in loaded:
+            raise SchemaError(f"more than one {schema} stream given", path=str(path))
+        loaded[schema] = data
+    return loaded.get(fileio.ASD_SCHEMA), loaded.get(fileio.TEMPORAL_SCHEMA)
 
 
 def _densify(stream: ProbStream | None, video_len: int, n_steps: int) -> ProbStream:
@@ -299,8 +288,7 @@ def cmd_simulate(args) -> int:
     doc = {"schema": fileio.COMPARISON_SCHEMA, "version": fileio.VERSION}
     doc.update(result.to_dict())
     fileio.write_json(out_dir / "comparison.json", doc)
-    for name in ("asd", "temporal", "fused"):
-        s = result.summaries[name]
+    for name, s in result.summaries.items():
         tau = "undefined" if s.tau_s is None else f"{s.tau_s:.3f}s"
         print(f"{name:9s} pos={s.pos:.4f} f1={s.f1:.4f} tau={tau}")
     return 0
@@ -368,24 +356,10 @@ def cmd_validate(args) -> int:
         events = sum(len(s) for s in seqs.values())
         print(f"{path}: OK ({len(seqs)} video(s), {events} event(s))")
     for path in args.streams:
-        schema = fileio.peek_schema(path)
-        if schema == fileio.ASD_SCHEMA:
-            if proc is None:
-                raise SchemaError(
-                    "state streams need --procedure for state-id validation",
-                    path=str(path),
-                )
-            dets = fileio.parse_asd_stream(path, proc, strict=True)
-            count = sum(len(d) for d in dets.values())
-            print(f"{path}: OK ({len(dets)} video(s), {count} detection(s))")
-        elif schema == fileio.TEMPORAL_SCHEMA:
-            frames = fileio.parse_temporal_stream(
-                path, proc.n_steps if proc else None, strict=True
-            )
-            count = sum(len(f) for f in frames.values())
-            print(f"{path}: OK ({len(frames)} video(s), {count} frame(s))")
-        else:
-            raise SchemaError(f"unrecognized stream schema {schema!r}", path=str(path))
+        schema, data = fileio.parse_stream(path, proc, strict=True)
+        count = sum(map(len, data.values()))
+        unit = "detection(s)" if schema == fileio.ASD_SCHEMA else "frame(s)"
+        print(f"{path}: OK ({len(data)} video(s), {count} {unit})")
     return 0
 
 

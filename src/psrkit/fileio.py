@@ -13,6 +13,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
@@ -28,7 +29,6 @@ from .procedure import (
     EventSequence,
     Procedure,
     StepEvent,
-    frame_to_seconds,
     toy_motorcycle,
 )
 from .sampling import ClipSpec, KfsBatchSpec, KfsEntry
@@ -131,14 +131,15 @@ def read_jsonl(path: str | Path, schema: str) -> tuple[dict, list[tuple[int, dic
 
 
 def peek_schema(path: str | Path) -> str | None:
-    """The schema name declared by a file's first non-blank line, if any."""
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                return None
-            return obj.get("schema") if isinstance(obj, dict) else None
+    """The schema name declared by a file's first non-blank line (read no further), if any."""
+    with open(path, "rb") as fh:
+        for line in fh:
+            if line.strip():
+                try:
+                    obj = json.loads(line)
+                except ValueError:  # not JSON, or not text
+                    return None
+                return obj.get("schema") if isinstance(obj, dict) else None
     return None
 
 
@@ -227,8 +228,8 @@ def parse_labels(
             raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", spath, lineno)
         if not isinstance(correct, bool):
             raise SchemaError(f"correct must be a boolean, got {correct!r}", spath, lineno)
-        if not isinstance(fps, (int, float)) or isinstance(fps, bool) or fps <= 0:
-            raise SchemaError(f"fps must be a positive number, got {fps!r}", spath, lineno)
+        if type(fps) not in _NUMBER_TYPES or not 0 < fps <= sys.float_info.max:
+            raise SchemaError(f"fps must be a finite positive number, got {fps!r}", spath, lineno)
         if proc is not None:
             if action not in proc.action_effects:
                 raise SchemaError(f"unknown action {action} for procedure {proc.name!r}", spath, lineno)
@@ -240,12 +241,7 @@ def parse_labels(
                     lineno,
                 )
         event = StepEvent(
-            action=action,
-            component=component,
-            kind=kind,
-            correct=correct,
-            frame=frame,
-            time_s=frame_to_seconds(frame, float(fps)),
+            action=action, component=component, kind=kind, correct=correct, frame=frame
         )
         return lineno, str(video_id), float(fps), event
 
@@ -336,6 +332,26 @@ def parse_asd_stream(
         last[video_id] = det.frame
         out.setdefault(video_id, []).append(det)
     return out
+
+
+def parse_stream(
+    path: str | Path, proc: Procedure | None, strict: bool = True
+) -> tuple[str, dict]:
+    """A detector stream of either kind, read by the schema its header declares.
+
+    Returns the schema and the per-video data: `StateDetection` lists for a
+    state stream (which needs `proc` for its state ids), `ProbStream`s for a
+    temporal stream (rows checked against `proc.n_steps` when `proc` is given).
+    """
+    schema = peek_schema(path)
+    if schema == ASD_SCHEMA:
+        if proc is None:
+            raise SchemaError("a state stream needs a procedure for its state ids", str(path))
+        return schema, parse_asd_stream(path, proc, strict=strict)
+    if schema == TEMPORAL_SCHEMA:
+        n_steps = proc.n_steps if proc is not None else None
+        return schema, parse_temporal_stream(path, n_steps, strict=strict)
+    raise SchemaError(f"not a recognized stream schema: {schema!r}", str(path))
 
 
 def serialize_temporal_stream(
@@ -490,10 +506,7 @@ def build_report(
     }
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    return str(value)
+_METRICS_COLUMNS = ("pos", "precision", "recall", "f1", "tau_s", "tp", "fp", "fn")
 
 
 def write_metrics_csv(
@@ -501,21 +514,14 @@ def write_metrics_csv(
     summary: DatasetSummary,
     path: str | Path,
 ) -> None:
+    """One row per video, then an ALL row; an undefined delay is an empty cell."""
+    rows = [(vid, per_video[vid]) for vid in sorted(per_video)] + [("ALL", summary)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["video_id", "pos", "precision", "recall", "f1", "tau_s", "tp", "fp", "fn"]
-        )
-        for vid in sorted(per_video):
-            r = per_video[vid]
-            writer.writerow(
-                [vid, r.pos, r.precision, r.recall, r.f1, _csv_cell(r.tau_s)]
-                + list(r.counts)
-            )
-        writer.writerow(
-            ["ALL", summary.pos, summary.precision, summary.recall, summary.f1,
-             _csv_cell(summary.tau_s)] + list(summary.counts)
-        )
+        writer.writerow(("video_id",) + _METRICS_COLUMNS)
+        for name, scores in rows:
+            d = scores.to_dict()
+            writer.writerow([name] + [d[k] for k in _METRICS_COLUMNS])
 
 
 def write_series_csv(rows: Iterable[tuple], path: str | Path) -> None:
@@ -718,7 +724,7 @@ def load_prob_batch(path: str | Path) -> ProbBatch:
             raise SchemaError(f"bad number: {e}", str(path), lineno) from e
         targets.append(values[:c])
         preds.append(values[c:])
-    return ProbBatch(predictions=np.array(preds), targets=np.array(targets, dtype=int))
+    return ProbBatch(predictions=np.array(preds), targets=np.array(targets))
 
 
 # ---------------------------------------------------------------------------

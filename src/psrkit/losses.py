@@ -9,6 +9,7 @@ parameters.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,11 +39,13 @@ class EmbeddingBatch:
             raise StructureError("need an (N, d) matrix with N >= 2")
         if labels.shape != (vectors.shape[0],):
             raise StructureError("labels must have one entry per embedding row")
-        if self.temperature <= 0:
-            raise StructureError(f"temperature must be positive, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise StructureError(
+                f"temperature must be a finite positive number, got {self.temperature}"
+            )
         norms = np.linalg.norm(vectors, axis=1)
         off = np.abs(norms - 1.0)
-        if off.max() > UNIT_NORM_TOL:
+        if not off.max() <= UNIT_NORM_TOL:  # a NaN row fails too
             raise StructureError(
                 f"row norms deviate from 1 by up to {off.max():.2e} (tol {UNIT_NORM_TOL})"
             )
@@ -112,7 +115,7 @@ class ProbBatch:
             raise StructureError(
                 f"shape mismatch: predictions {preds.shape}, targets {targets.shape}"
             )
-        if ((preds < 0.0) | (preds > 1.0)).any():
+        if not ((preds >= 0.0) & (preds <= 1.0)).all():
             raise StructureError("predictions must lie in [0, 1]")
         if not np.isin(targets, (0, 1)).all():
             raise StructureError("targets must be binary")

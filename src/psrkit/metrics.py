@@ -36,8 +36,11 @@ class EditWeights:
 
     def __post_init__(self):
         for name in ("insert", "delete", "substitute", "transpose"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"edit weight {name} must be non-negative")
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"edit weight {name} must be a finite non-negative number, got {value}"
+                )
 
 
 def damerau_levenshtein(
@@ -195,7 +198,7 @@ def _match_optimal(gt: EventSequence, pred: EventSequence) -> MatchLedger:
             continue
         cost = [
             [
-                (pred.events[pi].time_s - gt.events[gi].time_s)
+                (pred.events[pi].frame / pred.fps - gt.events[gi].frame / gt.fps)
                 if pred.events[pi].frame >= gt.events[gi].frame
                 else _INFEASIBLE
                 for gi in gis
@@ -237,9 +240,17 @@ def average_delay(
     if not ledger.matches:
         return None
     total = sum(
-        pred.events[pi].time_s - gt.events[gi].time_s for pi, gi in ledger.matches
+        pred.events[pi].frame / pred.fps - gt.events[gi].frame / gt.fps
+        for pi, gi in ledger.matches
     )
     return total / len(ledger.matches)
+
+
+def _scores(r: EvaluationReport | DatasetSummary) -> dict:
+    """The metric fields shared by a video's report and a dataset summary."""
+    tp, fp, fn = r.counts
+    return {"pos": r.pos, "precision": r.precision, "recall": r.recall, "f1": r.f1,
+            "tau_s": r.tau_s, "tp": tp, "fp": fp, "fn": fn}
 
 
 @dataclass(frozen=True)
@@ -251,19 +262,16 @@ class EvaluationReport:
     recall: float
     f1: float
     tau_s: float | None
-    counts: tuple[int, int, int]
     ledger: MatchLedger
+
+    @property
+    def counts(self) -> tuple[int, int, int]:
+        """(tp, fp, fn) of the ledger."""
+        return self.ledger.tp, self.ledger.fp, self.ledger.fn
 
     def to_dict(self) -> dict:
         return {
-            "pos": self.pos,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tau_s": self.tau_s,
-            "tp": self.counts[0],
-            "fp": self.counts[1],
-            "fn": self.counts[2],
+            **_scores(self),
             "matches": [list(m) for m in self.ledger.matches],
             "false_positives": list(self.ledger.false_positives),
             "false_negatives": list(self.ledger.false_negatives),
@@ -296,7 +304,6 @@ def evaluate(
         recall=recall,
         f1=f1,
         tau_s=average_delay(ledger, y, pred),
-        counts=(ledger.tp, ledger.fp, ledger.fn),
         ledger=ledger,
     )
 
@@ -314,17 +321,7 @@ class DatasetSummary:
     n_videos: int
 
     def to_dict(self) -> dict:
-        return {
-            "pos": self.pos,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "tau_s": self.tau_s,
-            "tp": self.counts[0],
-            "fp": self.counts[1],
-            "fn": self.counts[2],
-            "n_videos": self.n_videos,
-        }
+        return {**_scores(self), "n_videos": self.n_videos}
 
 
 def aggregate(reports: Mapping[str, EvaluationReport]) -> DatasetSummary:

@@ -1,12 +1,14 @@
 """Core domain model: procedures, assembly states, and step-event sequences.
 
-Frames are the canonical time unit everywhere in this package; seconds are a
-derived view computed as ``frame / fps``. All types here are immutable after
-construction and safe to share across threads.
+Frames are the canonical time unit everywhere in this package: an event
+stores only its frame, and its time in seconds is ``event.frame / seq.fps``.
+All types here are immutable after construction and safe to share across
+threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -19,14 +21,9 @@ REMOVE = "remove"
 KINDS = (INSTALL, REMOVE)
 
 
-def frame_to_seconds(frame: int, fps: float) -> float:
-    """Convert a frame index to seconds as an exact division.
-
-    Raises StructureError if fps is not positive.
-    """
-    if fps <= 0:
-        raise StructureError(f"fps must be positive, got {fps}")
-    return frame / fps
+def _check_fps(fps: float) -> None:
+    if not 0 < fps < math.inf:
+        raise StructureError(f"fps must be a finite positive number, got {fps}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,16 @@ def state_diff(prev: AssemblyState, next: AssemblyState) -> list[tuple[int, str]
 
 @dataclass(frozen=True)
 class StepEvent:
-    """One completed (or attempted) procedure step at a specific frame."""
+    """One completed (or attempted) procedure step at a specific frame.
+
+    Its time in seconds is `frame / fps` of the sequence holding it.
+    """
 
     action: ActionId
     component: int
     kind: str
     correct: bool
     frame: int
-    time_s: float
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -130,8 +129,7 @@ class Procedure:
         object.__setattr__(self, "action_effects", effects)
         if not components:
             raise StructureError("procedure needs at least one component")
-        if self.fps <= 0:
-            raise StructureError(f"fps must be positive, got {self.fps}")
+        _check_fps(self.fps)
         if len(set(actions)) != len(actions):
             raise StructureError("action ids must be unique")
         if set(effects) != set(actions):
@@ -193,16 +191,9 @@ class Procedure:
     def make_event(
         self, action: ActionId, frame: int, correct: bool = True
     ) -> StepEvent:
-        """Build a StepEvent for `action` at `frame`, deriving component, kind and time."""
+        """Build a StepEvent for `action` at `frame`, deriving component and kind."""
         c, k = self.action_effects[action]
-        return StepEvent(
-            action=action,
-            component=c,
-            kind=k,
-            correct=correct,
-            frame=frame,
-            time_s=frame_to_seconds(frame, self.fps),
-        )
+        return StepEvent(action=action, component=c, kind=k, correct=correct, frame=frame)
 
 
 @dataclass(frozen=True)
@@ -216,19 +207,12 @@ class EventSequence:
     def __post_init__(self):
         events = tuple(self.events)
         object.__setattr__(self, "events", events)
-        if self.fps <= 0:
-            raise StructureError(f"fps must be positive, got {self.fps}")
+        _check_fps(self.fps)
         keys = [(e.frame, e.action) for e in events]
         if keys != sorted(keys):
             raise StructureError("events must be sorted by (frame, action)")
         if len(set(keys)) != len(keys):
             raise StructureError("two events share the same (frame, action)")
-        for e in events:
-            expected = e.frame / self.fps
-            if e.time_s != expected:
-                raise StructureError(
-                    f"event time {e.time_s} != frame/fps = {expected} at frame {e.frame}"
-                )
 
     @classmethod
     def from_events(

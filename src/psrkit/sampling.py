@@ -61,8 +61,10 @@ def kcas_pmf(
     invalid ends (x < w or x >= video_len) is dropped before normalization.
     With no completions at all the distribution falls back to uniform.
     """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be a finite positive number, got {sigma}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be a finite number, got {delta}")
     if w <= 0:
         raise ValueError(f"window must be positive, got {w}")
     if video_len <= w:
@@ -219,8 +221,8 @@ def kfs_batch(
     replacement when the pool is smaller, logged) plus `n_syn` synthetic
     references per state. States that never occur are skipped with a warning.
     """
-    if t_f < 0:
-        raise ValueError(f"t_f must be non-negative, got {t_f}")
+    if not 0 <= t_f < math.inf:
+        raise ValueError(f"t_f must be a finite non-negative number, got {t_f}")
     if n_sample < 1:
         raise ValueError(f"n_sample must be at least 1, got {n_sample}")
     if n_syn < 0:

@@ -16,13 +16,14 @@ exercises the accumulator more realistically than a single spike.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError
-from .filtering import ProbStream, fuse_streams, run_filter
+from .filtering import STREAM_IDS, ProbStream, fuse_streams, run_filter
 from .metrics import DatasetSummary, EditWeights, EvaluationReport, aggregate, evaluate
 from .procedure import (
     EventSequence,
@@ -101,6 +102,8 @@ class ErrorModel:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A simulated suite. `procedure` is rebuilt at `fps` when its own differs."""
+
     procedure: Procedure
     n_videos: int = 3
     fps: float = 10.0
@@ -115,28 +118,28 @@ class SimConfig:
     def __post_init__(self):
         if self.n_videos < 1:
             raise ConfigError("n_videos", "must be at least 1")
-        if self.fps <= 0:
-            raise ConfigError("fps", "must be positive")
+        if not 0 < self.fps < math.inf:
+            raise ConfigError("fps", f"must be a finite positive number, got {self.fps}")
         if self.step_gap <= 0:
             raise ConfigError("step_gap", "must be positive")
         if self.tail_frames < 1:
             raise ConfigError("tail_frames", "must be at least 1")
         if self.procedure.states is None:
             raise ConfigError("procedure", "needs a nominal state sequence to simulate")
+        if self.procedure.fps != self.fps:
+            object.__setattr__(self, "procedure", dataclasses.replace(self.procedure, fps=self.fps))
 
     def to_dict(self) -> dict:
-        return {
-            "procedure": self.procedure.name,
-            "n_videos": self.n_videos,
-            "fps": self.fps,
-            "step_gap": self.step_gap,
-            "occlusion": dataclasses.asdict(self.occlusion),
-            "asd": dataclasses.asdict(self.asd),
-            "temporal": dataclasses.asdict(self.temporal),
-            "errors": dataclasses.asdict(self.errors),
-            "seed": self.seed,
-            "tail_frames": self.tail_frames,
-        }
+        """Every field as a sim-config document holds it; the procedure by name."""
+        doc = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Procedure):
+                value = value.name
+            elif dataclasses.is_dataclass(value):
+                value = dataclasses.asdict(value)
+            doc[f.name] = value
+        return doc
 
 
 @dataclass(frozen=True)
@@ -271,8 +274,6 @@ def simulate(config: SimConfig) -> list[SimTrace]:
     keeps the other draws identical (common random numbers).
     """
     proc = config.procedure
-    if proc.fps != config.fps:
-        proc = dataclasses.replace(proc, fps=config.fps)
     traces = []
     for v, child in enumerate(np.random.SeedSequence(config.seed).spawn(config.n_videos)):
         gt_ss, occ_ss, asd_ss, temp_ss = child.spawn(4)
@@ -296,9 +297,6 @@ def simulate(config: SimConfig) -> list[SimTrace]:
             )
         )
     return traces
-
-
-PIPELINES = ("asd", "temporal", "fused")
 
 
 @dataclass(frozen=True)
@@ -329,10 +327,10 @@ class ExperimentResult:
         return {
             "config": self.config,
             "thresholds": self.thresholds,
-            "summary": {k: self.summaries[k].to_dict() for k in PIPELINES},
+            "summary": {k: s.to_dict() for k, s in self.summaries.items()},
             "videos": {
-                vid: {k: reps[k].to_dict() for k in PIPELINES}
-                for vid, reps in sorted(self.per_video.items())
+                vid: {k: r.to_dict() for k, r in reps.items()}
+                for vid, reps in self.per_video.items()
             },
         }
 
@@ -352,12 +350,9 @@ def run_experiment(
     existing simulate(config) result.
     """
     proc = config.procedure
-    if proc.fps != config.fps:
-        proc = dataclasses.replace(proc, fps=config.fps)
     if t_temporal is None:
         t_temporal = t_fused
     per_video: dict[str, dict[str, EvaluationReport]] = {}
-    per_pipeline: dict[str, dict[str, EvaluationReport]] = {k: {} for k in PIPELINES}
     for trace in traces if traces is not None else simulate(config):
         vid = trace.ground_truth.video_id
         asd_probs = asd_stream_probs(trace.asd_detections, proc, trace.video_len)
@@ -374,14 +369,14 @@ def run_experiment(
                 video_id=vid,
             ),
         }
-        per_video[vid] = {}
-        for name, pred in preds.items():
-            report = evaluate(trace.ground_truth, pred, weights)
-            per_video[vid][name] = report
-            per_pipeline[name][vid] = report
-    summaries = {name: aggregate(per_pipeline[name]) for name in PIPELINES}
+        per_video[vid] = {
+            name: evaluate(trace.ground_truth, pred, weights) for name, pred in preds.items()
+        }
     return ExperimentResult(
-        summaries=summaries,
+        summaries={
+            name: aggregate({vid: reps[name] for vid, reps in per_video.items()})
+            for name in STREAM_IDS
+        },
         per_video=per_video,
         config=config.to_dict(),
         thresholds={

@@ -41,8 +41,9 @@ def infer_steps(
     prev: StateDetection | None,
     next: StateDetection,
     proc: Procedure,
-) -> list[tuple[ActionId, str]]:
-    """Actions required to transform the previous state into the new one.
+) -> list[ActionId]:
+    """Actions required to transform the previous state into the new one, in
+    ascending component order; each action's kind is `proc.effect(action)[1]`.
 
     `prev=None` means the all-zero initial state. A changed component with no
     matching action raises UnknownTransitionError rather than being dropped.
@@ -57,7 +58,7 @@ def infer_steps(
         action = proc.action_for(component, kind)
         if action is None:
             raise UnknownTransitionError(component, kind, frame=next.frame)
-        steps.append((action, kind))
+        steps.append(action)
     return steps
 
 
@@ -100,7 +101,7 @@ def asd_stream_probs(
         if not steps:
             continue
         value = 1.0 if constant_confidence else det.confidence
-        for action, _ in steps:
+        for action in steps:
             probs[det.frame, proc.step_index(action)] = value
         accepted = det
     return ProbStream.dense(probs, "asd")

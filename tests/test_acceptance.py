@@ -107,7 +107,8 @@ def test_criterion_1_metric_oracle_equivalence():
         delay = average_delay(ledger, gt, pred)
         if pairs:
             expected = sum(
-                pred.events[pi].time_s - gt.events[gi].time_s for pi, gi in pairs
+                pred.events[pi].frame / pred.fps - gt.events[gi].frame / gt.fps
+                for pi, gi in pairs
             ) / len(pairs)
             assert delay == pytest.approx(expected, abs=1e-12)
         else:

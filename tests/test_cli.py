@@ -14,7 +14,7 @@ from psrkit import (
 )
 from psrkit.state_inference import StateDetection, asd_stream_probs
 
-from util import seq_of
+from util import constant_stream, seq_of
 
 
 def write_labels(path, seqs):
@@ -85,6 +85,30 @@ class TestEvaluateCommand:
         with pytest.raises(SystemExit) as err:
             main(["evaluate"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("weights", ["insert=nan", "transpose=inf", "delete=-inf"])
+    def test_non_finite_weight_is_a_usage_error(self, tmp_path, capsys, weights):
+        gt = {"v": seq_of([(0, 100)], video_id="v")}
+        labels = write_labels(tmp_path / "gt.jsonl", gt)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", labels, "--predictions", labels,
+                     "--out", str(out), "--weights", weights]) == 2
+        assert weights.split("=")[0] in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".csv").exists()
+
+    @pytest.mark.parametrize("fps", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_fps_is_a_parse_failure(self, tmp_path, capsys, fps):
+        labels = tmp_path / "gt.jsonl"
+        labels.write_text(
+            '{"schema":"psrkit/labels","version":1}\n'
+            '{"action":0,"component":0,"correct":true,"fps":%s,"frame":100,'
+            '"kind":"install","video_id":"v"}\n' % fps
+        )
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", str(labels), "--predictions", str(labels),
+                     "--out", str(out)]) == 3
+        assert f"{labels}:2: fps" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRecognizeCommand:
@@ -205,6 +229,27 @@ class TestRecognizeCommand:
         assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
                      "--threshold", "0", "--out", str(tmp_path / "p.jsonl")]) == 2
         assert "threshold" in capsys.readouterr().err
+
+    def test_two_state_streams_rejected(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        fileio.serialize_asd_stream(dets, a)
+        fileio.serialize_asd_stream(dets, b)
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(a), str(b),
+                     "--procedure", "toy-motorcycle", "--out", str(out)]) == 3
+        assert "more than one psrkit/asd-stream stream" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_stream_schema_rejected(self, tmp_path, capsys):
+        gt = {"v": seq_of([(0, 100)], video_id="v")}
+        labels = write_labels(tmp_path / "gt.jsonl", gt)
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", labels,
+                     "--procedure", "toy-motorcycle", "--out", str(out)]) == 3
+        assert "not a recognized stream schema: 'psrkit/labels'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_series_output(self, tmp_path):
         toy = toy_motorcycle()
@@ -366,3 +411,15 @@ class TestValidateCommand:
         assert main(["validate", "--streams", str(stream),
                      "--procedure", "toy-motorcycle"]) == 0
         assert main(["validate", "--streams", str(stream)]) == 3
+
+    def test_temporal_stream(self, tmp_path, capsys):
+        stream = tmp_path / "temporal.jsonl"
+        fileio.serialize_temporal_stream({"v": constant_stream(34, 2, 0.5, range(7))}, stream)
+        assert main(["validate", "--streams", str(stream)]) == 0
+        assert f"{stream}: OK (1 video(s), 7 frame(s))" in capsys.readouterr().out
+        # with a procedure, the row width is checked against its step count
+        narrow = tmp_path / "narrow.jsonl"
+        fileio.serialize_temporal_stream({"v": constant_stream(3, 0, 0.5, range(2))}, narrow)
+        assert main(["validate", "--streams", str(narrow)]) == 0
+        assert main(["validate", "--streams", str(narrow),
+                     "--procedure", "toy-motorcycle"]) == 3

@@ -16,6 +16,7 @@ from psrkit import (
     ProbStream,
     SchemaError,
     StateDetection,
+    StructureError,
     aggregate,
     evaluate,
     kfs_batch,
@@ -279,6 +280,15 @@ class TestStreamCodecs:
         with pytest.raises(SchemaError, match=r":3: video 'v': frame 5 not after frame 5"):
             fileio.parse_temporal_stream(path)
 
+    @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf, 0, 10**400, "10"])
+    def test_labels_fps_must_be_finite_positive(self, tmp_path, fps):
+        path = tmp_path / "labels.jsonl"
+        fileio.write_jsonl(path, fileio.LABELS_SCHEMA, [
+            self.VALID_RECORDS["labels"], {**self.VALID_RECORDS["labels"], "frame": 9, "fps": fps},
+        ])
+        with pytest.raises(SchemaError, match=r":3: fps must be a finite positive number"):
+            fileio.parse_labels(path)
+
     VALID_RECORDS = {
         "labels": {"action": 0, "component": 0, "correct": True, "fps": 10.0,
                    "frame": 5, "kind": "install", "video_id": "v"},
@@ -314,6 +324,32 @@ class TestStreamCodecs:
         path = tmp_path / "asd.jsonl"
         fileio.serialize_asd_stream({}, path)
         assert fileio.peek_schema(path) == fileio.ASD_SCHEMA
+
+    def test_peek_schema_reads_only_the_first_line(self, tmp_path):
+        path = tmp_path / "asd.jsonl"
+        path.write_bytes(b'\n{"schema":"psrkit/asd-stream","version":1}\n\xff\xfe not text\n')
+        assert fileio.peek_schema(path) == fileio.ASD_SCHEMA
+        path.write_bytes(b"\xff\xfe\n")
+        assert fileio.peek_schema(path) is None
+
+    def test_parse_stream_dispatches_on_schema(self, toy, tmp_path):
+        dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
+        asd = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(dets, asd)
+        assert fileio.parse_stream(asd, toy) == (fileio.ASD_SCHEMA, dets)
+        with pytest.raises(SchemaError, match="needs a procedure"):
+            fileio.parse_stream(asd, None)
+        temporal = tmp_path / "temporal.jsonl"
+        stream = ProbStream([0, 3], [[0.5] * 34, [0.0] * 34], "temporal")
+        fileio.serialize_temporal_stream({"v": stream}, temporal)
+        for proc in (toy, None):
+            assert fileio.parse_stream(temporal, proc) == (
+                fileio.TEMPORAL_SCHEMA, {"v": stream}
+            )
+        labels = tmp_path / "labels.jsonl"
+        fileio.serialize_labels({"v": seq_of([(0, 1)])}, labels)
+        with pytest.raises(SchemaError, match="not a recognized stream schema"):
+            fileio.parse_stream(labels, toy)
 
 
 class TestProcedureCodec:
@@ -403,6 +439,24 @@ class TestLossLoaders:
         assert batch.targets.tolist() == [[1, 0], [0, 1]]
         assert batch.predictions.tolist() == [[0.9, 0.2], [0.1, 0.6]]
 
+    @pytest.mark.parametrize("row,message", [
+        ("1 0 0.9 nan", "predictions"),
+        ("1 0 0.9 inf", "predictions"),
+        ("1 nan 0.9 0.2", "binary"),
+        ("1 0.5 0.9 0.2", "binary"),
+    ])
+    def test_probs_non_finite_or_non_binary(self, tmp_path, row, message):
+        path = tmp_path / "probs.txt"
+        path.write_text(f"2\n{row}\n")
+        with pytest.raises(StructureError, match=message):
+            fileio.load_prob_batch(path)
+
+    def test_embeddings_nan_row(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 1.0 0.0\n0 nan 0.0\n")
+        with pytest.raises(StructureError, match="row norms"):
+            fileio.load_embedding_batch(path)
+
     def test_probs_bad_width(self, tmp_path):
         path = tmp_path / "probs.txt"
         path.write_text("2\n1 0 0.9\n")
@@ -450,6 +504,10 @@ class TestReportsAndWeights:
         assert w == EditWeights(insert=2, transpose=0.5)
         with pytest.raises(ValueError):
             fileio.parse_weights("bogus=1")
+        for spec in ("insert=nan", "delete=inf", "substitute=-inf", "transpose=-1"):
+            name = spec.partition("=")[0]
+            with pytest.raises(ValueError, match=f"edit weight {name} must be a finite"):
+                fileio.parse_weights(spec)
 
 
 

@@ -395,6 +395,21 @@ class TestFuse:
             for x, y, z in zip(pa, pb, ab.probs):
                 assert min(x, y) - 1e-12 <= z <= max(x, y) + 1e-12
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_stream_fusion_symmetric_under_swap(self, data):
+        n_frames, n_steps = data.draw(st.integers(0, 12)), data.draw(st.integers(1, 5))
+        value = st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0)
+        rows = st.lists(st.lists(value, min_size=n_steps, max_size=n_steps),
+                        min_size=n_frames, max_size=n_frames)
+        frames = np.arange(n_frames) * data.draw(st.integers(1, 3))
+        a = ProbStream(frames, np.reshape(data.draw(rows), (n_frames, n_steps)), "asd")
+        b = ProbStream(frames, np.reshape(data.draw(rows), (n_frames, n_steps)), "temporal")
+        w = data.draw(st.just(0.5) | st.floats(0.0, 1.0))
+        ab, ba = fuse_streams(a, b, w, 1.0 - w), fuse_streams(b, a, 1.0 - w, w)
+        assert np.array_equal(ab.frames, ba.frames)
+        assert ab.probs.tobytes() == ba.probs.tobytes()
+
     def test_frame_mismatch(self):
         a = ConfidenceFrame(frame=0, probs=(0.1,), stream_id="asd")
         b = ConfidenceFrame(frame=1, probs=(0.1,), stream_id="temporal")

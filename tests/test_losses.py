@@ -112,6 +112,17 @@ class TestSupcon:
                 labels=np.array([0, 0]),
             )
 
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, 0.0, -0.1])
+    def test_temperature_must_be_finite_positive(self, temperature):
+        v = normalize([[1.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(StructureError, match="temperature"):
+            EmbeddingBatch(v, np.array([0, 0]), temperature=temperature)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        with pytest.raises(StructureError, match="row norms"):
+            EmbeddingBatch(np.array([[1.0, 0.0], [bad, 0.0]]), np.array([0, 0]))
+
     def test_numerically_stable_at_tiny_temperature(self):
         v = normalize([[1.0, 0.0], [1.0, 1e-4], [-1.0, 0.1]])
         labels = np.array([0, 0, 1])
@@ -176,3 +187,12 @@ class TestMultilabelBce:
     def test_non_binary_targets(self):
         with pytest.raises(StructureError):
             ProbBatch(predictions=np.array([[0.5]]), targets=np.array([[2]]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_predictions_rejected(self, bad):
+        with pytest.raises(StructureError, match="predictions"):
+            ProbBatch(predictions=np.array([[0.5, bad]]), targets=np.array([[1, 0]]))
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(StructureError, match="binary"):
+            ProbBatch(predictions=np.array([[0.5]]), targets=np.array([[math.nan]]))

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from psrkit import (
     EditWeights,
@@ -48,6 +50,12 @@ class TestDamerauLevenshtein:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             EditWeights(insert=-1)
+
+    @pytest.mark.parametrize("name", ["insert", "delete", "substitute", "transpose"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"edit weight {name}"):
+            EditWeights(**{name: value})
 
     @given(seqs, seqs)
     @settings(max_examples=150, deadline=None)
@@ -240,6 +248,41 @@ class TestF1AndDelay:
             ledger = match_predictions(gt, pred)
             tau = average_delay(ledger, gt, pred)
             assert tau is None or tau >= 0.0
+
+
+# Small random sequences: a few actions over a short span, so that matches,
+# early predictions, duplicates and incorrect completions all occur.
+events = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 40), st.booleans()), max_size=8)
+
+
+def _unique_seq(triples, fps):
+    """seq_of over triples, keeping one event per (action, frame)."""
+    return seq_of({(a, f): (a, f, c) for a, f, c in triples}.values(), fps=fps)
+
+
+class TestProperties:
+    @given(events, events, st.sampled_from([10.0, 25.0, 29.97]), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_scores_in_unit_interval(self, gt_events, pred_events, fps, optimal):
+        gt, pred = _unique_seq(gt_events, fps), _unique_seq(pred_events, fps)
+        assume(gt.correct_only().events)  # else undefined, as TestEvaluate checks
+        report = evaluate(gt, pred, optimal_matching=optimal)
+        for name in ("pos", "precision", "recall", "f1"):
+            assert 0.0 <= getattr(report, name) <= 1.0, name
+        assert report.tau_s is None or report.tau_s >= 0.0
+
+    @given(events, events, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_ledger_partitions_both_event_sets(self, gt_events, pred_events, optimal):
+        gt, pred = _unique_seq(gt_events, 10.0), _unique_seq(pred_events, 10.0)
+        ledger = match_predictions(gt, pred, optimal=optimal)
+        pred_side = [p for p, _ in ledger.matches] + list(ledger.false_positives)
+        gt_side = [g for _, g in ledger.matches] + list(ledger.false_negatives)
+        assert sorted(pred_side) == list(range(len(pred)))
+        assert sorted(gt_side) == list(range(len(gt)))
+        for p, g in ledger.matches:
+            assert pred.events[p].action == gt.events[g].action
+            assert pred.events[p].frame >= gt.events[g].frame
 
 
 class TestEvaluate:

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,29 +12,11 @@ from psrkit import (
     StepEvent,
     StructureError,
     cumulative_state,
-    frame_to_seconds,
     nominal_events,
     state_diff,
 )
 
 from util import seq_of
-
-
-class TestFrameToSeconds:
-    def test_exact_division(self):
-        assert frame_to_seconds(100, 10) == 10.0
-
-    def test_zero_frame(self):
-        assert frame_to_seconds(0, 30) == 0.0
-
-    def test_long_delay(self):
-        assert frame_to_seconds(765, 10) == 76.5
-
-    def test_bad_fps(self):
-        with pytest.raises(StructureError):
-            frame_to_seconds(10, 0)
-        with pytest.raises(StructureError):
-            frame_to_seconds(10, -1)
 
 
 class TestAssemblyState:
@@ -114,7 +98,7 @@ class TestCumulativeState:
             assert cumulative_state(seq, toy, f).bits == cumulative_state(seq, toy, 10).bits
 
     def test_component_out_of_range(self, toy):
-        bad = StepEvent(action=0, component=99, kind=INSTALL, correct=True, frame=5, time_s=0.5)
+        bad = StepEvent(action=0, component=99, kind=INSTALL, correct=True, frame=5)
         seq = EventSequence((bad,), fps=10)
         with pytest.raises(StructureError):
             cumulative_state(seq, toy, 10)
@@ -138,10 +122,10 @@ class TestEventSequence:
         seq = seq_of([(1, 10), (2, 20, False), (3, 30)])
         assert seq.correct_only().actions() == [1, 3]
 
-    def test_time_consistency_enforced(self):
-        bad = StepEvent(action=0, component=0, kind=INSTALL, correct=True, frame=10, time_s=99.0)
-        with pytest.raises(StructureError):
-            EventSequence((bad,), fps=10)
+    @pytest.mark.parametrize("fps", [0, -1.0, math.nan, math.inf, -math.inf])
+    def test_fps_must_be_finite_positive(self, fps):
+        with pytest.raises(StructureError, match="fps"):
+            EventSequence((), fps=fps)
 
 
 class TestProcedureValidation:
@@ -184,13 +168,14 @@ class TestProcedureValidation:
             )
 
     def test_bad_fps(self):
-        with pytest.raises(StructureError):
-            Procedure(
-                components=("a",),
-                actions=(0,),
-                action_effects={0: (0, INSTALL)},
-                fps=0,
-            )
+        for fps in (0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(StructureError, match="fps"):
+                Procedure(
+                    components=("a",),
+                    actions=(0,),
+                    action_effects={0: (0, INSTALL)},
+                    fps=fps,
+                )
 
 
 class TestToyProcedure:

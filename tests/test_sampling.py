@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,14 @@ class TestKcasPmf:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             kcas_pmf([10], video_len=500, sigma=0)
+
+    @pytest.mark.parametrize("name,value", [
+        ("sigma", math.nan), ("sigma", math.inf), ("sigma", -math.inf),
+        ("delta", math.nan), ("delta", math.inf), ("delta", -math.inf),
+    ])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a finite"):
+            kcas_pmf([300], video_len=500, **{name: value})
 
 
 class TestSampleClipEnds:
@@ -201,6 +211,11 @@ class TestKfsBatch:
                 frames.append(cursor)
             out[f"v{v}"] = nominal_events(toy, frames, video_id=f"v{v}")
         return out
+
+    @pytest.mark.parametrize("t_f", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_t_f_rejected(self, toy, videos, t_f):
+        with pytest.raises(ValueError, match="t_f must be a finite non-negative"):
+            kfs_batch(videos, toy, t_f=t_f, n_sample=4)
 
     def test_batch_law(self, toy, videos):
         spec = kfs_batch(videos, toy, t_f=2.0, n_sample=16, seed=5)

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import pytest
 
 from psrkit import (
@@ -52,9 +55,20 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quiet_config(step_gap=0)
 
-    def test_procedure_needs_states(self):
-        import dataclasses
+    @pytest.mark.parametrize("fps", [0, -1.0, math.nan, math.inf, -math.inf])
+    def test_fps_must_be_finite_positive(self, fps):
+        with pytest.raises(ConfigError) as err:
+            quiet_config(fps=fps)
+        assert err.value.field == "fps"
 
+    def test_procedure_rebuilt_at_config_fps(self):
+        toy = toy_motorcycle()
+        assert quiet_config().procedure == toy
+        cfg = quiet_config(fps=25.0)
+        assert cfg.procedure == dataclasses.replace(toy, fps=25.0)
+        assert dataclasses.replace(cfg, seed=1).procedure == cfg.procedure
+
+    def test_procedure_needs_states(self):
         proc = toy_motorcycle()
         stateless = dataclasses.replace(proc, states=None)
         with pytest.raises(ConfigError):
@@ -114,6 +128,40 @@ class TestSimulate:
         # in the temporal stream; the pipeline must still run end to end
         result = run_experiment(cfg)
         assert result.summaries["asd"].f1 > 0
+
+    def test_false_detections_report_other_known_states(self):
+        proc = toy_motorcycle()
+        clean = simulate(quiet_config(seed=4, n_videos=1))[0]
+        noisy = simulate(quiet_config(seed=4, n_videos=1, asd=AsdModel(0.9, 0.3)))[0]
+        # the detector's own draws leave the other substreams unchanged
+        assert noisy.ground_truth == clean.ground_truth
+        assert noisy.occlusion_mask == clean.occlusion_mask
+        assert noisy.temporal_frames == clean.temporal_frames
+        assert [d.frame for d in noisy.asd_detections] == [d.frame for d in clean.asd_detections]
+        gt = noisy.ground_truth
+
+        def wrong(dets):
+            return [d for d in dets if d.state != cumulative_state(gt, proc, d.frame)]
+
+        assert wrong(clean.asd_detections) == []
+        false = wrong(noisy.asd_detections)
+        assert 0.15 * len(noisy.asd_detections) < len(false) < 0.45 * len(noisy.asd_detections)
+        assert all(d.state in proc.states for d in false)
+
+    def test_config_fps_differs_from_procedure(self):
+        # toy_motorcycle() is at 10 fps; the config's 25 fps times everything
+        cfg10 = quiet_config(seed=16, n_videos=1, temporal=TemporalModel(hit_prob=1.0))
+        cfg25 = dataclasses.replace(cfg10, fps=25.0)
+        trace10, trace25 = simulate(cfg10)[0], simulate(cfg25)[0]
+        gt10, gt25 = trace10.ground_truth, trace25.ground_truth
+        assert gt25.fps == 25.0 and gt10.fps == 10.0
+        assert [e.frame for e in gt25] == [e.frame for e in gt10]
+        rep10 = run_experiment(cfg10, traces=[trace10]).per_video["sim000"]
+        rep25 = run_experiment(cfg25, traces=[trace25]).per_video["sim000"]
+        for name in ("asd", "temporal", "fused"):
+            assert rep25[name].ledger == rep10[name].ledger, name
+        assert rep10["temporal"].tau_s > 0
+        assert rep25["temporal"].tau_s == pytest.approx(rep10["temporal"].tau_s * 10 / 25)
 
     def test_mask_has_both_phases(self):
         trace = simulate(heavy_occlusion_config(seed=11, n_videos=1))[0]

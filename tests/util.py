@@ -18,14 +18,7 @@ def seq_of(pairs, fps=10.0, video_id="v"):
         action, frame, *rest = p
         correct = rest[0] if rest else True
         events.append(
-            StepEvent(
-                action=action,
-                component=action,
-                kind=INSTALL,
-                correct=correct,
-                frame=frame,
-                time_s=frame / fps,
-            )
+            StepEvent(action=action, component=action, kind=INSTALL, correct=correct, frame=frame)
         )
     return EventSequence.from_events(events, video_id=video_id, fps=fps)
 
