@@ -219,7 +219,6 @@ def cmd_recognize(args) -> int:
         raise ValueError("--fuse needs one state stream and one temporal stream")
     if asd is None and temporal is None:
         raise ValueError("no usable streams given")
-    fused = asd is not None and temporal is not None
     videos = sorted(set(asd or {}) | set(temporal or {}))
     predictions = {}
     series_rows = []
@@ -230,17 +229,10 @@ def cmd_recognize(args) -> int:
             dets[-1].frame + 1 if dets else 0,
             int(temp.frames[-1]) + 1 if temp is not None else 0,
         )
-        if fused:
-            stream = fuse_streams(
-                asd_stream_probs(dets, proc, video_len,
-                                 min_confidence=args.min_confidence),
-                _densify(temp, video_len, proc.n_steps),
-            )
-        elif dets:
-            stream = asd_stream_probs(dets, proc, video_len,
-                                      min_confidence=args.min_confidence)
-        else:
-            stream = _densify(temp, video_len, proc.n_steps)
+        stream = _densify(temp, video_len, proc.n_steps) if temporal is not None else None
+        if asd is not None:
+            asd_probs = asd_stream_probs(dets, proc, video_len, min_confidence=args.min_confidence)
+            stream = asd_probs if stream is None else fuse_streams(asd_probs, stream)
         record = np.empty(stream.probs.shape) if args.series_out else None
         predictions[vid] = run_filter(
             stream, proc, args.threshold, args.decay, args.evidence_floor,

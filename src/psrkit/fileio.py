@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, StructureError
 from .filtering import ConfidenceFrame, ProbStream, as_stream, in_unit_interval
 from .losses import EmbeddingBatch, ProbBatch
 from .metrics import DatasetSummary, EditWeights, EvaluationReport
@@ -105,31 +105,6 @@ def write_jsonl(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_jsonl(path: str | Path, schema: str) -> tuple[dict, list[tuple[int, dict]]]:
-    """Header plus (line number, record) pairs. An empty file yields no records."""
-    path = Path(path)
-    lines = path.read_text().splitlines()
-    body: list[tuple[int, dict]] = []
-    header: dict = {}
-    seen_header = False
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e.msg}", path=str(path), line=lineno) from e
-        if not isinstance(obj, dict):
-            raise SchemaError("each line must be a JSON object", path=str(path), line=lineno)
-        if not seen_header:
-            _check_header(obj, schema, str(path), lineno)
-            header = obj
-            seen_header = True
-        else:
-            body.append((lineno, obj))
-    return header, body
-
-
 def peek_schema(path: str | Path) -> str | None:
     """The schema name declared by a file's first non-blank line (read no further), if any."""
     with open(path, "rb") as fh:
@@ -162,22 +137,44 @@ def _int_field(rec: dict, name: str, path: str, lineno: int, non_negative: bool 
 _NUMBER_TYPES = frozenset((int, float))
 
 
+def _fps_field(rec: dict, path: str, lineno: int | None) -> float:
+    fps = _field(rec, "fps", path, lineno)
+    if type(fps) not in _NUMBER_TYPES or not 0 < fps <= sys.float_info.max:
+        raise SchemaError(f"fps must be a finite positive number, got {fps!r}", path, lineno)
+    return float(fps)
+
+
 def _collect(
     path: str | Path,
     schema: str,
     parse_one: Callable[[dict, int], Any],
     strict: bool,
 ) -> tuple[dict, list]:
-    header, body = read_jsonl(path, schema)
+    """Header and `parse_one(record, line number)` of each later record, in one
+    pass over a JSONL file. An empty file yields no records."""
+    spath = str(path)
+    header = None
     out = []
-    for lineno, rec in body:
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise SchemaError(f"invalid JSON: {e.msg}", spath, lineno) from e
+        if not isinstance(rec, dict):
+            raise SchemaError("each line must be a JSON object", spath, lineno)
+        if header is None:
+            _check_header(rec, schema, spath, lineno)
+            header = rec
+            continue
         try:
             out.append(parse_one(rec, lineno))
         except SchemaError as e:
             if strict:
                 raise
             log.warning("skipping bad record: %s", e)
-    return header, out
+    return header or {}, out
 
 
 # ---------------------------------------------------------------------------
@@ -185,21 +182,12 @@ def _collect(
 
 
 def serialize_labels(sequences: Mapping[str, EventSequence], path: str | Path) -> None:
-    records = []
-    for video_id in sorted(sequences):
-        seq = sequences[video_id]
-        for e in seq.events:
-            records.append(
-                {
-                    "action": e.action,
-                    "component": e.component,
-                    "correct": e.correct,
-                    "fps": seq.fps,
-                    "frame": e.frame,
-                    "kind": e.kind,
-                    "video_id": video_id,
-                }
-            )
+    records = (
+        {"action": e.action, "component": e.component, "correct": e.correct,
+         "fps": sequences[video_id].fps, "frame": e.frame, "kind": e.kind, "video_id": video_id}
+        for video_id in sorted(sequences)
+        for e in sequences[video_id].events
+    )
     write_jsonl(path, LABELS_SCHEMA, records)
 
 
@@ -219,7 +207,7 @@ def parse_labels(
     def parse_one(rec: dict, lineno: int):
         video_id = _field(rec, "video_id", spath, lineno)
         frame = _int_field(rec, "frame", spath, lineno)
-        fps = _field(rec, "fps", spath, lineno)
+        fps = _fps_field(rec, spath, lineno)
         action = _int_field(rec, "action", spath, lineno, non_negative=False)
         component = _int_field(rec, "component", spath, lineno)
         kind = _field(rec, "kind", spath, lineno)
@@ -228,8 +216,6 @@ def parse_labels(
             raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", spath, lineno)
         if not isinstance(correct, bool):
             raise SchemaError(f"correct must be a boolean, got {correct!r}", spath, lineno)
-        if type(fps) not in _NUMBER_TYPES or not 0 < fps <= sys.float_info.max:
-            raise SchemaError(f"fps must be a finite positive number, got {fps!r}", spath, lineno)
         if proc is not None:
             if action not in proc.action_effects:
                 raise SchemaError(f"unknown action {action} for procedure {proc.name!r}", spath, lineno)
@@ -243,7 +229,7 @@ def parse_labels(
         event = StepEvent(
             action=action, component=component, kind=kind, correct=correct, frame=frame
         )
-        return lineno, str(video_id), float(fps), event
+        return lineno, str(video_id), fps, event
 
     _, rows = _collect(path, LABELS_SCHEMA, parse_one, strict)
     by_video: dict[str, list] = {}
@@ -316,21 +302,21 @@ def parse_asd_stream(
             )
         if isinstance(confidence, bool) or not isinstance(confidence, (int, float)) or not 0 <= confidence <= 1:
             raise SchemaError(f"confidence must be in [0, 1], got {confidence!r}", spath, lineno)
-        return video_id, StateDetection(
+        return lineno, video_id, StateDetection(
             frame=frame, state=states_by_id[state_id], confidence=float(confidence)
         )
 
     _, rows = _collect(path, ASD_SCHEMA, parse_one, strict)
     out: dict[str, list[StateDetection]] = {}
-    last: dict[str, int] = {}
-    for video_id, det in rows:
-        if video_id in last and det.frame <= last[video_id]:
+    for lineno, video_id, det in rows:
+        dets = out.setdefault(video_id, [])
+        if dets and det.frame <= dets[-1].frame:
             raise SchemaError(
-                f"video {video_id!r}: frame {det.frame} not after frame {last[video_id]}",
+                f"video {video_id!r}: frame {det.frame} not after frame {dets[-1].frame}",
                 spath,
+                lineno,
             )
-        last[video_id] = det.frame
-        out.setdefault(video_id, []).append(det)
+        dets.append(det)
     return out
 
 
@@ -455,25 +441,43 @@ def save_procedure(proc: Procedure, path: str | Path) -> None:
 
 
 def load_procedure(path: str | Path) -> Procedure:
+    """A procedure document; a malformed one is a SchemaError naming the file."""
     doc = read_json(path, PROCEDURE_SCHEMA)
     spath = str(path)
+
+    def listed(rec: dict, name: str, item_type: type) -> list:
+        items = _field(rec, name, spath, None)
+        if not isinstance(items, list) or not all(isinstance(i, item_type) for i in items):
+            raise SchemaError(f"{name} must be a list of {item_type.__name__}", spath)
+        return items
+
+    def state(rec: dict) -> AssemblyState:
+        state_id = rec.get("state_id")
+        if state_id is not None:
+            state_id = _int_field(rec, "state_id", spath, None, non_negative=False)
+        return AssemblyState.from_string(_field(rec, "bits", spath, None), state_id)
+
+    name = doc.get("name", "procedure")
+    if not isinstance(name, str):
+        raise SchemaError(f"name must be a string, got {name!r}", spath)
+    actions = listed(doc, "actions", dict)
+    ids = [_int_field(a, "id", spath, None, non_negative=False) for a in actions]
     try:
-        states = None
-        if doc.get("states") is not None:
-            states = tuple(
-                AssemblyState.from_string(s["bits"], s.get("state_id"))
-                for s in doc["states"]
-            )
         return Procedure(
-            components=tuple(doc["components"]),
-            actions=tuple(a["id"] for a in doc["actions"]),
-            action_effects={a["id"]: (a["component"], a["kind"]) for a in doc["actions"]},
-            fps=doc["fps"],
-            states=states,
-            name=doc.get("name", "procedure"),
+            components=tuple(listed(doc, "components", str)),
+            actions=tuple(ids),
+            action_effects={
+                i: (_int_field(a, "component", spath, None), _field(a, "kind", spath, None))
+                for i, a in zip(ids, actions)
+            },
+            fps=_fps_field(doc, spath, None),
+            states=None if doc.get("states") is None else tuple(
+                map(state, listed(doc, "states", dict))
+            ),
+            name=name,
         )
-    except (KeyError, TypeError) as e:
-        raise SchemaError(f"malformed procedure document: {e}", path=spath) from e
+    except StructureError as e:
+        raise SchemaError(f"malformed procedure: {e}", spath) from e
 
 
 def resolve_procedure(spec: str) -> Procedure:
@@ -529,8 +533,7 @@ def write_series_csv(rows: Iterable[tuple], path: str | Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["video_id", "frame", "step", "action", "prob", "accumulator"])
-        for row in rows:
-            writer.writerow(list(row))
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -540,17 +543,12 @@ def write_series_csv(rows: Iterable[tuple], path: str | Path) -> None:
 def write_clip_samples(
     path: str | Path, specs: Mapping[str, Sequence[ClipSpec]], config: Mapping[str, Any]
 ) -> None:
-    records = []
-    for video_id in sorted(specs):
-        for s in specs[video_id]:
-            records.append(
-                {
-                    "end_frame": s.end_frame,
-                    "indices": list(s.indices),
-                    "video_id": video_id,
-                    "window": s.window,
-                }
-            )
+    records = (
+        {"end_frame": s.end_frame, "indices": list(s.indices), "video_id": video_id,
+         "window": s.window}
+        for video_id in sorted(specs)
+        for s in specs[video_id]
+    )
     write_jsonl(path, CLIP_SAMPLES_SCHEMA, records, header_extra={"config": dict(config)})
 
 
@@ -558,13 +556,16 @@ def parse_clip_samples(path: str | Path) -> tuple[dict, dict[str, list[ClipSpec]
     spath = str(path)
 
     def parse_one(rec: dict, lineno: int):
+        indices = _field(rec, "indices", spath, lineno)
+        if not isinstance(indices, list) or not all(type(i) is int for i in indices):
+            raise SchemaError(f"indices must be a list of integers, got {indices!r}", spath, lineno)
         try:
-            return str(rec["video_id"]), ClipSpec(
-                end_frame=rec["end_frame"],
-                window=rec["window"],
-                indices=tuple(rec["indices"]),
+            return str(_field(rec, "video_id", spath, lineno)), ClipSpec(
+                end_frame=_int_field(rec, "end_frame", spath, lineno),
+                window=_int_field(rec, "window", spath, lineno),
+                indices=tuple(indices),
             )
-        except (KeyError, TypeError, ValueError) as e:
+        except StructureError as e:
             raise SchemaError(f"malformed clip record: {e}", spath, lineno) from e
 
     header, rows = _collect(path, CLIP_SAMPLES_SCHEMA, parse_one, strict=True)
@@ -657,19 +658,21 @@ def write_occlusion_masks(masks: Mapping[str, Sequence[bool]], path: str | Path)
 
 
 def parse_occlusion_masks(path: str | Path) -> dict[str, list[bool]]:
+    """One mask per video; a second record for a video is an error."""
     spath = str(path)
+    masks: dict[str, list[bool]] = {}
 
     def parse_one(rec: dict, lineno: int):
-        try:
-            mask = rec["mask"]
-            if any(c not in "01" for c in mask):
-                raise SchemaError("mask must be a 0/1 string", spath, lineno)
-            return str(rec["video_id"]), [c == "1" for c in mask]
-        except KeyError as e:
-            raise SchemaError(f"missing field {e}", spath, lineno) from e
+        video_id = str(_field(rec, "video_id", spath, lineno))
+        mask = _field(rec, "mask", spath, lineno)
+        if not isinstance(mask, str) or any(c not in "01" for c in mask):
+            raise SchemaError(f"mask must be a 0/1 string, got {mask!r}", spath, lineno)
+        if video_id in masks:
+            raise SchemaError(f"second mask for video {video_id!r}", spath, lineno)
+        masks[video_id] = [c == "1" for c in mask]
 
-    _, rows = _collect(path, OCCLUSION_SCHEMA, parse_one, strict=True)
-    return dict(rows)
+    _collect(path, OCCLUSION_SCHEMA, parse_one, strict=True)
+    return masks
 
 
 # ---------------------------------------------------------------------------

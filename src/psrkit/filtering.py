@@ -41,7 +41,11 @@ def in_unit_interval(values: Sequence[float]) -> bool:
 
 @dataclass(frozen=True)
 class ConfidenceFrame:
-    """Per-step completion probabilities for one frame of one stream."""
+    """Per-step completion probabilities for one frame of one stream.
+
+    `stream_id` is checked against `STREAM_IDS` when frames become a
+    `ProbStream`, as the stream's kind.
+    """
 
     frame: int
     probs: tuple[float, ...]
@@ -52,8 +56,6 @@ class ConfidenceFrame:
         object.__setattr__(self, "probs", probs)
         if self.frame < 0:
             raise StructureError(f"frame must be non-negative, got {self.frame}")
-        if self.stream_id not in STREAM_IDS:
-            raise StructureError(f"stream_id must be one of {STREAM_IDS}")
         if not in_unit_interval(probs):
             raise ValueError(f"probabilities outside [0, 1] at frame {self.frame}")
 
@@ -165,9 +167,9 @@ class FilterState:
     threshold: float
     decay: float = 0.75
     evidence_floor: float = 0.0
-    accumulators: np.ndarray = field(default=None)
-    last_kind: list = field(default=None)
-    last_frame: int | None = None
+    accumulators: np.ndarray = field(init=False)
+    last_kind: list = field(init=False)
+    last_frame: int | None = field(default=None, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.threshold < math.inf:
@@ -181,10 +183,8 @@ class FilterState:
                 "evidence floor must be a non-negative finite number, "
                 f"got {self.evidence_floor}"
             )
-        if self.accumulators is None:
-            self.accumulators = np.zeros(self.procedure.n_steps)
-        if self.last_kind is None:
-            self.last_kind = [None] * self.procedure.n_components
+        self.accumulators = np.zeros(self.procedure.n_steps)
+        self.last_kind = [None] * self.procedure.n_components
 
 
 def _advance(acc: np.ndarray, evidence: np.ndarray, probs: np.ndarray, decay: float):

@@ -288,8 +288,13 @@ def evaluate(
     """Score one video's predictions against its ground truth.
 
     Incorrect completions are dropped from the ground truth unless
-    `include_incorrect` is set (diagnostics only).
+    `include_incorrect` is set (diagnostics only). Both sequences must share
+    an fps, since delays compare their frames in seconds.
     """
+    if pred.fps != gt.fps:
+        raise StructureError(
+            f"video {gt.video_id!r}: predictions at {pred.fps} fps, labels at {gt.fps} fps"
+        )
     y = gt if include_incorrect else gt.correct_only()
     if not y.events:
         raise UndefinedMetricError(
@@ -335,9 +340,7 @@ def aggregate(reports: Mapping[str, EvaluationReport]) -> DatasetSummary:
         raise UndefinedMetricError("cannot aggregate zero videos")
     ordered = [reports[k] for k in sorted(reports)]
     n = len(ordered)
-    tp = sum(r.counts[0] for r in ordered)
-    fp = sum(r.counts[1] for r in ordered)
-    fn = sum(r.counts[2] for r in ordered)
+    tp, fp, fn = (sum(column) for column in zip(*(r.counts for r in ordered)))
     pooled_delay = None
     if tp:
         pooled_delay = (

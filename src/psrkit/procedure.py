@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby, takewhile
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import StructureError
+from .errors import StructureError, UnknownTransitionError
 
 ActionId = int
 
@@ -47,10 +49,10 @@ class AssemblyState:
 
     @classmethod
     def from_string(cls, text: str, state_id: int | None = None) -> "AssemblyState":
-        text = text.strip()
-        if not text or any(c not in "01" for c in text):
+        bits = text.strip() if isinstance(text, str) else ""
+        if not bits or any(c not in "01" for c in bits):
             raise StructureError(f"bit string must be non-empty 0/1, got {text!r}")
-        return cls(tuple(int(c) for c in text), state_id)
+        return cls(tuple(int(c) for c in bits), state_id)
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -188,6 +190,19 @@ class Procedure:
     def state_for_bits(self, bits: tuple[int, ...]) -> AssemblyState | None:
         return self._state_of_bits.get(tuple(bits))
 
+    def transition_actions(self, prev: AssemblyState, next: AssemblyState) -> list[ActionId]:
+        """The actions turning `prev` into `next`, in ascending component order.
+
+        A changed component that no action covers raises UnknownTransitionError.
+        """
+        actions = []
+        for component, kind in state_diff(prev, next):
+            action = self._action_of_effect.get((component, kind))
+            if action is None:
+                raise UnknownTransitionError(component, kind)
+            actions.append(action)
+        return actions
+
     def make_event(
         self, action: ActionId, frame: int, correct: bool = True
     ) -> StepEvent:
@@ -240,28 +255,38 @@ class EventSequence:
         )
 
 
+def replay(
+    events: Iterable[StepEvent], proc: Procedure
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(frame, component bits) after all of `events` at each distinct frame.
+
+    `events` come in sequence order. Each sets its component's bit (1 for an
+    install, 0 for a remove); components no event touched are 0.
+    """
+    bits = [0] * proc.n_components
+    for frame, group in groupby(events, key=attrgetter("frame")):
+        for e in group:
+            if e.component >= proc.n_components:
+                raise StructureError(
+                    f"event references component {e.component} >= C={proc.n_components}"
+                )
+            bits[e.component] = 1 if e.kind == INSTALL else 0
+        yield frame, tuple(bits)
+
+
 def cumulative_state(seq: EventSequence, proc: Procedure, frame: int) -> AssemblyState:
     """The component state implied by all events at or before `frame`.
 
-    Last write wins per component; components that no event touched are 0.
     The returned state carries a state_id when the bit pattern matches one of
     the procedure's known states.
     """
     if frame < 0:
         raise StructureError(f"frame must be non-negative, got {frame}")
-    bits = [0] * proc.n_components
-    for e in seq.events:
-        if e.frame > frame:
-            break
-        if e.component >= proc.n_components:
-            raise StructureError(
-                f"event references component {e.component} >= C={proc.n_components}"
-            )
-        bits[e.component] = 1 if e.kind == INSTALL else 0
-    known = proc.state_for_bits(tuple(bits))
-    if known is not None:
-        return known
-    return AssemblyState(tuple(bits))
+    bits = (0,) * proc.n_components
+    for _, bits in replay(takewhile(lambda e: e.frame <= frame, seq.events), proc):
+        pass
+    known = proc.state_for_bits(bits)
+    return known if known is not None else AssemblyState(bits)
 
 
 def nominal_events(
@@ -278,15 +303,11 @@ def nominal_events(
         raise StructureError(
             f"need {len(proc.states) - 1} transition frames, got {len(transition_frames)}"
         )
-    events = []
-    for (prev, nxt), frame in zip(zip(proc.states, proc.states[1:]), transition_frames):
-        for component, kind in state_diff(prev, nxt):
-            action = proc.action_for(component, kind)
-            if action is None:
-                raise StructureError(
-                    f"nominal transition needs missing action ({component}, {kind})"
-                )
-            events.append(proc.make_event(action, int(frame)))
+    events = [
+        proc.make_event(action, int(frame))
+        for prev, nxt, frame in zip(proc.states, proc.states[1:], transition_frames)
+        for action in proc.transition_actions(prev, nxt)
+    ]
     return EventSequence.from_events(events, video_id=video_id, fps=proc.fps)
 
 

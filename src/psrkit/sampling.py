@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import StructureError
-from .procedure import EventSequence, Procedure, cumulative_state
+from .procedure import EventSequence, Procedure, cumulative_state, replay
 
 log = logging.getLogger(__name__)
 
@@ -173,12 +173,26 @@ def state_occurrences(
     if proc.states is None:
         raise StructureError("procedure has no state table")
     occurrences = []
-    frames = sorted(set(e.frame for e in seq.events))
-    for f in frames:
-        state = cumulative_state(seq, proc, f)
-        if state.state_id is not None:
-            occurrences.append((f, state.state_id))
+    for frame, bits in replay(seq.events, proc):
+        state = proc.state_for_bits(bits)
+        if state is not None and state.state_id is not None:
+            occurrences.append((frame, state.state_id))
     return occurrences
+
+
+def _eligible(
+    sequences: Mapping[str, EventSequence], proc: Procedure, t_f: float, fps: float
+) -> tuple[int, dict[int, set[tuple[str, int]]]]:
+    """The key-frame window in frames, and per state id the (video, frame)
+    pairs within that window after an occurrence of the state."""
+    window = max(1, int(round(t_f * fps)))
+    pools: dict[int, set[tuple[str, int]]] = {}
+    for video_id, seq in sequences.items():
+        for frame, state_id in state_occurrences(seq, proc):
+            pools.setdefault(state_id, set()).update(
+                (video_id, f) for f in range(frame, frame + window)
+            )
+    return window, pools
 
 
 @dataclass(frozen=True)
@@ -232,26 +246,11 @@ def kfs_batch(
     if proc.states is None:
         raise StructureError("procedure has no state table")
 
-    window = max(1, int(round(t_f * proc.fps)))
-    pools: dict[int, list[tuple[str, int, int]]] = {}
-    for video_id in sorted(sequences):
-        seq = sequences[video_id]
-        for occ_frame, state_id in state_occurrences(seq, proc):
-            pool = pools.setdefault(state_id, [])
-            for f in range(occ_frame, occ_frame + window):
-                pool.append((video_id, f, occ_frame))
-
+    _, pools = _eligible(sequences, proc, t_f, proc.fps)
     rng = np.random.default_rng(seed)
     entries: list[KfsEntry] = []
-    n_state = 0
-    known_ids = [s.state_id for s in proc.states if s.state_id is not None]
     for state_id in sorted(pools):
-        pool = pools[state_id]
-        # the same (video, frame) may be eligible via two occurrences; keep one
-        seen: dict[tuple[str, int], tuple[str, int, int]] = {}
-        for item in pool:
-            seen.setdefault((item[0], item[1]), item)
-        pool = sorted(seen.values())
+        pool = sorted(pools[state_id])
         replace = len(pool) < n_sample
         if replace:
             log.warning(
@@ -263,7 +262,7 @@ def kfs_batch(
             )
         picks = rng.choice(len(pool), size=n_sample, replace=replace)
         for p in picks:
-            video_id, frame, _ = pool[int(p)]
+            video_id, frame = pool[int(p)]
             entries.append(
                 KfsEntry(state_id=state_id, source="real", video_id=video_id, frame=frame)
             )
@@ -278,8 +277,7 @@ def kfs_batch(
                 entries.append(
                     KfsEntry(state_id=state_id, source="synthetic", ref=refs[int(p)])
                 )
-        n_state += 1
-    for state_id in known_ids:
+    for state_id in (s.state_id for s in proc.states if s.state_id is not None):
         if state_id not in pools and state_id != 0:
             log.warning("state %d never occurs in the label data; skipped", state_id)
     return KfsBatchSpec(
@@ -287,7 +285,7 @@ def kfs_batch(
         t_f=float(t_f),
         n_sample=n_sample,
         n_syn=n_syn,
-        n_state=n_state,
+        n_state=len(pools),
         fps=proc.fps,
     )
 
@@ -302,21 +300,14 @@ def audit_kfs_batch(
     Every real entry must lie within the sampling window after an occurrence
     of its claimed state, and per-state counts must match the spec.
     """
-    window = max(1, int(round(spec.t_f * spec.fps)))
-    occ: dict[int, list[tuple[str, int]]] = {}
-    for video_id, seq in sequences.items():
-        for frame, state_id in state_occurrences(seq, proc):
-            occ.setdefault(state_id, []).append((video_id, frame))
+    window, pools = _eligible(sequences, proc, spec.t_f, spec.fps)
     counts: dict[int, dict[str, int]] = {}
     for e in spec.entries:
         per = counts.setdefault(e.state_id, {"real": 0, "synthetic": 0})
         per[e.source] += 1
         if e.source != "real":
             continue
-        candidates = occ.get(e.state_id, [])
-        if not any(
-            v == e.video_id and 0 <= e.frame - f < window for v, f in candidates
-        ):
+        if (e.video_id, e.frame) not in pools.get(e.state_id, ()):
             raise StructureError(
                 f"batch entry ({e.video_id}, {e.frame}) is not within "
                 f"{window} frames after any occurrence of state {e.state_id}"

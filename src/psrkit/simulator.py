@@ -22,16 +22,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, UnknownTransitionError
 from .filtering import STREAM_IDS, ProbStream, fuse_streams, run_filter
-from .metrics import DatasetSummary, EditWeights, EvaluationReport, aggregate, evaluate
-from .procedure import (
-    EventSequence,
-    Procedure,
-    StepEvent,
-    state_diff,
-    toy_motorcycle,
-)
+from .metrics import DatasetSummary, EvaluationReport, aggregate, evaluate
+from .procedure import INSTALL, REMOVE, EventSequence, Procedure, StepEvent, replay, toy_motorcycle
 from .state_inference import StateDetection, asd_stream_probs
 
 
@@ -124,8 +118,14 @@ class SimConfig:
             raise ConfigError("step_gap", "must be positive")
         if self.tail_frames < 1:
             raise ConfigError("tail_frames", "must be at least 1")
-        if self.procedure.states is None:
+        states = self.procedure.states
+        if states is None:
             raise ConfigError("procedure", "needs a nominal state sequence to simulate")
+        for prev, nxt in zip(states, states[1:]):
+            try:
+                self.procedure.transition_actions(prev, nxt)
+            except UnknownTransitionError as e:
+                raise ConfigError("procedure", f"no action for ({e.component}, {e.kind})") from None
         if self.procedure.fps != self.fps:
             object.__setattr__(self, "procedure", dataclasses.replace(self.procedure, fps=self.fps))
 
@@ -169,19 +169,16 @@ def _ground_truth(proc: Procedure, cfg: SimConfig, rng: np.random.Generator, vid
     erroneous install spawns a remove + reinstall pair afterwards."""
     events: list[StepEvent] = []
     cursor = 0
-    assert proc.states is not None
     for prev, nxt in zip(proc.states, proc.states[1:]):
         cursor += max(1, int(round(rng.exponential(cfg.step_gap))))
         frame = cursor
         fix_cursor = frame
-        for component, kind in state_diff(prev, nxt):
-            action = proc.action_for(component, kind)
-            if action is None:
-                raise ConfigError("procedure", f"no action for ({component}, {kind})")
-            erred = kind == "install" and rng.random() < cfg.errors.p_incorrect
+        for action in proc.transition_actions(prev, nxt):
+            component, kind = proc.effect(action)
+            erred = kind == INSTALL and rng.random() < cfg.errors.p_incorrect
             events.append(proc.make_event(action, frame, correct=not erred))
             if erred:
-                remove_action = proc.action_for(component, "remove")
+                remove_action = proc.action_for(component, REMOVE)
                 if remove_action is None:
                     raise ConfigError(
                         "procedure", f"error model needs a remove action for component {component}"
@@ -207,34 +204,24 @@ def _occlusion_mask(length: int, model: OcclusionModel, rng: np.random.Generator
     return mask
 
 
-def _bits_per_frame(gt: EventSequence, proc: Procedure, length: int):
-    bits = [0] * proc.n_components
-    out = []
-    it = iter(gt.events)
-    pending = next(it, None)
-    for t in range(length):
-        while pending is not None and pending.frame == t:
-            bits[pending.component] = 1 if pending.kind == "install" else 0
-            pending = next(it, None)
-        out.append(tuple(bits))
-    return out
-
-
 def _asd_detections(
-    bits_at, mask, proc: Procedure, model: AsdModel, rng: np.random.Generator
+    gt: EventSequence, mask, proc: Procedure, model: AsdModel, rng: np.random.Generator
 ):
+    """A detection on every visible frame whose true state is a known one."""
     detections = []
     states = proc.states or ()
-    for t in range(len(mask)):
-        if mask[t]:
-            continue
-        state = proc.state_for_bits(bits_at[t])
+    changes = [(0, (0,) * proc.n_components), *replay(gt.events, proc)]
+    ends = [frame for frame, _ in changes[1:]] + [len(mask)]
+    for (start, bits), end in zip(changes, ends):
+        state = proc.state_for_bits(bits)
         if state is None:
             continue  # half-finished corrections are not a recognizable state
-        if model.false_detection_rate > 0 and rng.random() < model.false_detection_rate:
-            others = [s for s in states if s.bits != state.bits]
-            state = others[int(rng.integers(len(others)))]
-        detections.append(StateDetection(frame=t, state=state, confidence=model.confidence))
+        for t in (np.flatnonzero(~mask[start:end]) + start).tolist():
+            seen = state
+            if model.false_detection_rate > 0 and rng.random() < model.false_detection_rate:
+                others = [s for s in states if s.bits != state.bits]
+                seen = others[int(rng.integers(len(others)))]
+            detections.append(StateDetection(frame=t, state=seen, confidence=model.confidence))
     return tuple(detections)
 
 
@@ -281,9 +268,8 @@ def simulate(config: SimConfig) -> list[SimTrace]:
         gt = _ground_truth(proc, config, np.random.default_rng(gt_ss), video_id)
         length = (gt.events[-1].frame if gt.events else 0) + config.tail_frames
         mask = _occlusion_mask(length, config.occlusion, np.random.default_rng(occ_ss))
-        bits_at = _bits_per_frame(gt, proc, length)
         detections = _asd_detections(
-            bits_at, mask, proc, config.asd, np.random.default_rng(asd_ss)
+            gt, mask, proc, config.asd, np.random.default_rng(asd_ss)
         )
         temporal = _temporal_stream(
             gt, proc, length, config.temporal, np.random.default_rng(temp_ss)
@@ -341,7 +327,6 @@ def run_experiment(
     t_fused: float = Thresholds.fused,
     t_temporal: float | None = Thresholds.temporal,
     decay: float = Thresholds.decay,
-    weights: EditWeights | None = None,
     traces: list[SimTrace] | None = None,
 ) -> ExperimentResult:
     """Evaluate the state-only, temporal-only, and fused pipelines per trace.
@@ -370,7 +355,7 @@ def run_experiment(
             ),
         }
         per_video[vid] = {
-            name: evaluate(trace.ground_truth, pred, weights) for name, pred in preds.items()
+            name: evaluate(trace.ground_truth, pred) for name, pred in preds.items()
         }
     return ExperimentResult(
         summaries={
@@ -379,10 +364,7 @@ def run_experiment(
         },
         per_video=per_video,
         config=config.to_dict(),
-        thresholds={
-            "asd": t_asd,
-            "temporal": t_temporal,
-            "fused": t_fused,
-            "decay": decay,
-        },
+        thresholds=dataclasses.asdict(
+            Thresholds(asd=t_asd, fused=t_fused, decay=decay, temporal=t_temporal)
+        ),
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StreamOrderError, StructureError, UnknownTransitionError
 from .filtering import ProbStream
-from .procedure import ActionId, AssemblyState, Procedure, state_diff
+from .procedure import ActionId, AssemblyState, Procedure
 
 
 @dataclass(frozen=True)
@@ -53,13 +53,10 @@ def infer_steps(
     )
     if prev_state.width != proc.n_components or next.state.width != proc.n_components:
         raise StructureError("detection bit width does not match the procedure")
-    steps = []
-    for component, kind in state_diff(prev_state, next.state):
-        action = proc.action_for(component, kind)
-        if action is None:
-            raise UnknownTransitionError(component, kind, frame=next.frame)
-        steps.append(action)
-    return steps
+    try:
+        return proc.transition_actions(prev_state, next.state)
+    except UnknownTransitionError as e:
+        raise UnknownTransitionError(e.component, e.kind, frame=next.frame) from None
 
 
 def asd_stream_probs(
@@ -67,16 +64,15 @@ def asd_stream_probs(
     proc: Procedure,
     video_len: int,
     min_confidence: float = 0.0,
-    constant_confidence: bool = False,
 ) -> ProbStream:
     """Per-frame step probabilities implied by a detection sequence.
 
     Returns a dense "asd" stream, one row per frame in [0, video_len): on
     a frame whose detection implies a state transition, every inferred step
-    carries the detection's confidence (or 1.0 with `constant_confidence`);
-    all other frames are all-zero, driving decay downstream. The remembered
-    previous state is the last detection whose steps were emitted, so a
-    flickering detector cannot re-infer the same transition.
+    carries the detection's confidence; all other frames are all-zero,
+    driving decay downstream. The remembered previous state is the last
+    detection whose steps were emitted, so a flickering detector cannot
+    re-infer the same transition.
     """
     if video_len <= 0:
         raise ValueError(f"video_len must be positive, got {video_len}")
@@ -100,8 +96,7 @@ def asd_stream_probs(
         steps = infer_steps(accepted, det, proc)
         if not steps:
             continue
-        value = 1.0 if constant_confidence else det.confidence
         for action in steps:
-            probs[det.frame, proc.step_index(action)] = value
+            probs[det.frame, proc.step_index(action)] = det.confidence
         accepted = det
     return ProbStream.dense(probs, "asd")

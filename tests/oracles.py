@@ -184,3 +184,14 @@ def naive_clip_label(events, n_components, start, end):
     a = naive_bits(events, n_components, start)
     b = naive_bits(events, n_components, end)
     return tuple(x ^ y for x, y in zip(a, b))
+
+
+def naive_occurrences(events, n_components, known):
+    """(frame, state id) at each distinct event frame whose replayed bits are
+    a known state; `known` maps a bit tuple to its state id."""
+    out = []
+    for f in sorted({f for f, _, _ in events}):
+        bits = naive_bits(events, n_components, f)
+        if bits in known:
+            out.append((f, known[bits]))
+    return out

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import pytest
 
@@ -80,6 +82,43 @@ class TestEvaluateCommand:
                      "--predictions", str(tmp_path / "missing.jsonl"),
                      "--out", str(out)]) == 3
         assert not out.exists()
+
+    def test_predictions_for_an_unlabelled_video(self, tmp_path, capsys):
+        labels = write_labels(tmp_path / "gt.jsonl", {"v": seq_of([(0, 100)], video_id="v")})
+        preds = write_labels(tmp_path / "pred.jsonl", {
+            "v": seq_of([(0, 100)], video_id="v"), "w": seq_of([(0, 100)], video_id="w"),
+        })
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", labels, "--predictions", preds,
+                     "--out", str(out)]) == 4
+        assert "no ground truth: ['w']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_frame_rates_must_match(self, tmp_path, capsys):
+        """Simulated at 25 fps, recognized with the builtin 10 fps procedure:
+        evaluate refuses; with the procedure saved at 25 fps, the report is
+        comparison.json's fused block."""
+        doc = {**sim_config_doc(seed=5, n_videos=2), "fps": 25.0}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config_path), "--out", str(sim)]) == 0
+        p25 = tmp_path / "p25.json"
+        fileio.save_procedure(toy_motorcycle(fps=25.0), p25)
+        streams = [str(sim / "asd_stream.jsonl"), str(sim / "temporal_stream.jsonl")]
+        for procedure, code in (("toy-motorcycle", 2), (str(p25), 0)):
+            pred, report = tmp_path / "pred.jsonl", tmp_path / "report.json"
+            assert main(["recognize", "--streams", *streams, "--procedure", procedure,
+                         "--fuse", "--threshold", "0.4", "--out", str(pred)]) == 0
+            assert main(["evaluate", "--labels", str(sim / "gt_labels.jsonl"),
+                         "--predictions", str(pred), "--out", str(report)]) == code
+            assert report.exists() == (code == 0)
+        assert "predictions at 10.0 fps, labels at 25.0 fps" in capsys.readouterr().err
+        comparison = json.loads((sim / "comparison.json").read_text())
+        doc = json.loads(report.read_text())
+        assert doc["aggregate"] == comparison["summary"]["fused"]
+        for vid, reps in comparison["videos"].items():
+            assert doc["videos"][vid] == reps["fused"]
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -306,6 +345,20 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")]) == 3
         assert "p_occlude" in capsys.readouterr().err
 
+    def test_procedure_lacking_an_action(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        actions = tuple(a for a in toy.actions if a != 8)  # no "install headlamp"
+        proc_path = tmp_path / "proc.json"
+        fileio.save_procedure(dataclasses.replace(
+            toy, actions=actions, action_effects={a: toy.effect(a) for a in actions}
+        ), proc_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**sim_config_doc(), "procedure": str(proc_path)}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 3
+        assert "'procedure': no action for (8, install)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_config_is_a_config_error(self, tmp_path, capsys):
         doc = sim_config_doc()
         doc["step_gap"] = float("inf")
@@ -411,6 +464,16 @@ class TestValidateCommand:
         assert main(["validate", "--streams", str(stream),
                      "--procedure", "toy-motorcycle"]) == 0
         assert main(["validate", "--streams", str(stream)]) == 3
+
+    @pytest.mark.parametrize("field,value", [
+        ("fps", math.nan), ("components", []), ("components", "abcdefghijklmnopq"),
+    ])
+    def test_malformed_procedure_file(self, toy, tmp_path, capsys, field, value):
+        path = tmp_path / "proc.json"
+        fileio.save_procedure(toy, path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
+        assert main(["validate", "--procedure", str(path)]) == 3
+        assert f"error: {path}: " in capsys.readouterr().err
 
     def test_temporal_stream(self, tmp_path, capsys):
         stream = tmp_path / "temporal.jsonl"

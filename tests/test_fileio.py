@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -10,9 +11,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psrkit import (
+    AssemblyState,
+    ClipSpec,
     ConfidenceFrame,
     ConfigError,
     EditWeights,
+    EventSequence,
+    KfsBatchSpec,
+    KfsEntry,
     ProbStream,
     SchemaError,
     StateDetection,
@@ -167,10 +173,11 @@ class TestStreamCodecs:
             fileio.ASD_SCHEMA,
             [
                 {"confidence": 0.9, "frame": 9, "state_id": 1, "video_id": "v"},
+                {"confidence": 0.9, "frame": 3, "state_id": 1, "video_id": "w"},
                 {"confidence": 0.9, "frame": 5, "state_id": 2, "video_id": "v"},
             ],
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError, match=r"asd.jsonl:4: video 'v': frame 5 not after"):
             fileio.parse_asd_stream(path, toy)
 
     def test_temporal_round_trip(self, tmp_path):
@@ -363,6 +370,43 @@ class TestProcedureCodec:
         proc = fileio.resolve_procedure("toy-motorcycle")
         assert proc.n_components == 17
 
+    @pytest.mark.parametrize("change,message", [
+        (lambda d: d.update(fps=math.nan), "fps must be a finite positive number"),
+        (lambda d: d.update(fps=True), "fps must be a finite positive number"),
+        (lambda d: d.pop("fps"), "missing field 'fps'"),
+        (lambda d: d.update(components=[]), "at least one component"),
+        (lambda d: d.update(components="abcdefghijklmnopq"), "components must be a list"),
+        (lambda d: d.update(components=[1, 2]), "components must be a list"),
+        (lambda d: d["actions"][1].update(id=True), "id must be an integer"),
+        (lambda d: d["actions"][1].update(id=2.9), "id must be an integer"),
+        (lambda d: d["actions"][1].update(component=-1), "component must be"),
+        (lambda d: d["actions"][1].update(kind="paint"), "invalid kind"),
+        (lambda d: d["actions"][1].pop("kind"), "missing field 'kind'"),
+        (lambda d: d.update(actions={"id": 0}), "actions must be a list"),
+        (lambda d: d["states"][1].update(bits=5), "bit string must be non-empty 0/1, got 5"),
+        (lambda d: d["states"][1].update(bits="10x"), "bit string must be"),
+        (lambda d: d["states"][1].update(state_id="one"), "state_id must be an integer"),
+        (lambda d: d.update(states=[5]), "states must be a list"),
+        (lambda d: d.update(name=7), "name must be a string"),
+    ])
+    def test_malformed_file_names_the_file(self, toy, tmp_path, change, message):
+        path = tmp_path / "proc.json"
+        fileio.save_procedure(toy, path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match=re.escape(message)) as err:
+            fileio.load_procedure(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_state_ids_may_be_null(self, toy, tmp_path):
+        proc = dataclasses.replace(toy, states=tuple(
+            AssemblyState(s.bits) for s in toy.states
+        ))
+        path = tmp_path / "proc.json"
+        fileio.save_procedure(proc, path)
+        assert fileio.load_procedure(path) == proc
+
     def test_resolve_missing(self):
         with pytest.raises(SchemaError) as err:
             fileio.resolve_procedure("no-such-thing")
@@ -416,11 +460,133 @@ class TestSamplerCodecs:
         with pytest.raises(SchemaError, match="pool.json"):
             fileio.load_synthetic_pool(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("end_frame", True), ("window", True), ("window", 2.0), ("end_frame", None),
+        ("indices", [True, 300]), ("indices", [299.0, 300]), ("indices", "299"),
+    ])
+    def test_clip_record_integers(self, tmp_path, field, value):
+        record = {"end_frame": 300, "indices": [299, 300], "video_id": "v", "window": 2}
+        path = tmp_path / "clips.jsonl"
+        fileio.write_jsonl(path, fileio.CLIP_SAMPLES_SCHEMA, [record])
+        assert fileio.parse_clip_samples(path)[1] == {"v": [ClipSpec(300, 2, (299, 300))]}
+        fileio.write_jsonl(path, fileio.CLIP_SAMPLES_SCHEMA, [{**record, field: value}])
+        with pytest.raises(SchemaError, match=f":2: {field} must be"):
+            fileio.parse_clip_samples(path)
+
+    def test_clip_record_outside_its_window(self, tmp_path):
+        path = tmp_path / "clips.jsonl"
+        fileio.write_jsonl(path, fileio.CLIP_SAMPLES_SCHEMA, [
+            {"end_frame": 300, "indices": [10], "video_id": "v", "window": 2}
+        ])
+        with pytest.raises(SchemaError, match=":2: malformed clip record"):
+            fileio.parse_clip_samples(path)
+
+    @pytest.mark.parametrize("mask", [5, None, ["0", "1"], "01x"])
+    def test_occlusion_mask_must_be_a_bit_string(self, tmp_path, mask):
+        path = tmp_path / "occ.jsonl"
+        fileio.write_jsonl(path, fileio.OCCLUSION_SCHEMA, [{"mask": mask, "video_id": "v"}])
+        with pytest.raises(SchemaError, match=":2: mask must be a 0/1 string"):
+            fileio.parse_occlusion_masks(path)
+
+    def test_second_occlusion_mask_for_a_video(self, tmp_path):
+        path = tmp_path / "occ.jsonl"
+        fileio.write_jsonl(path, fileio.OCCLUSION_SCHEMA, [
+            {"mask": "01", "video_id": "v"}, {"mask": "1", "video_id": "w"},
+            {"mask": "10", "video_id": "v"},
+        ])
+        with pytest.raises(SchemaError, match=":4: second mask for video 'v'"):
+            fileio.parse_occlusion_masks(path)
+
     def test_occlusion_round_trip(self, tmp_path):
         masks = {"v0": [True, False, True], "v1": [False]}
         path = tmp_path / "occ.jsonl"
         fileio.write_occlusion_masks(masks, path)
         assert fileio.parse_occlusion_masks(path) == masks
+
+
+def _round_trip(tmp_path, write, parse, value):
+    """parse(write(value)) == value, and writing the parsed value again gives
+    the same bytes."""
+    path, again = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    write(value, path)
+    parsed = parse(path)
+    assert parsed == value
+    write(parsed, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+video_ids = st.text(min_size=1, max_size=6)
+frame_numbers = st.integers(0, 10**9)
+finite_positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
+codec_settings = settings(max_examples=40, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestCodecProperties:
+    @codec_settings
+    @given(data=st.data())
+    def test_labels(self, toy, tmp_path, data):
+        seqs = {}
+        for vid in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
+            keys = data.draw(st.sets(
+                st.tuples(frame_numbers, st.sampled_from(toy.actions)), min_size=1, max_size=8
+            ))
+            events = [toy.make_event(a, f, correct=data.draw(st.booleans())) for f, a in keys]
+            seqs[vid] = EventSequence.from_events(events, vid, data.draw(finite_positive))
+        _round_trip(tmp_path, fileio.serialize_labels,
+                    lambda path: fileio.parse_labels(path, proc=toy), seqs)
+
+    @codec_settings
+    @given(data=st.data())
+    def test_state_stream(self, toy, tmp_path, data):
+        dets = {}
+        for vid in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
+            frames = sorted(data.draw(st.sets(frame_numbers, min_size=1, max_size=8)))
+            dets[vid] = [
+                StateDetection(f, data.draw(st.sampled_from(toy.states)),
+                               data.draw(st.floats(0.0, 1.0)))
+                for f in frames
+            ]
+        _round_trip(tmp_path, fileio.serialize_asd_stream,
+                    lambda path: fileio.parse_asd_stream(path, toy), dets)
+
+    @codec_settings
+    @given(data=st.data())
+    def test_kfs_batch(self, tmp_path, data):
+        state_ids = st.integers(-5, 50)
+        real = st.builds(lambda s, v, f: KfsEntry(s, "real", video_id=v, frame=f),
+                         state_ids, video_ids, frame_numbers)
+        synthetic = st.builds(lambda s, r: KfsEntry(s, "synthetic", ref=r),
+                              state_ids, st.text(max_size=8))
+        spec = KfsBatchSpec(
+            entries=tuple(data.draw(st.lists(real | synthetic, max_size=10))),
+            t_f=data.draw(st.floats(0.0, 60.0)),
+            n_sample=data.draw(st.integers(1, 64)),
+            n_syn=data.draw(st.integers(0, 64)),
+            n_state=data.draw(st.integers(0, 12)),
+            fps=data.draw(finite_positive),
+        )
+        config = data.draw(st.dictionaries(st.text(max_size=5), st.integers()))
+        _round_trip(tmp_path, lambda value, path: fileio.write_kfs_batch(path, value, config),
+                    fileio.parse_kfs_batch, spec)
+
+    @codec_settings
+    @given(data=st.data())
+    def test_clip_samples(self, tmp_path, data):
+        def clip(window, end):
+            lo = max(0, end - window + 1)
+            indices = data.draw(st.sets(st.integers(lo, end), max_size=6))
+            return ClipSpec(end, window, tuple(sorted(indices)))
+
+        specs = {
+            vid: [clip(data.draw(st.integers(1, 300)), data.draw(frame_numbers))
+                  for _ in range(data.draw(st.integers(1, 4)))]
+            for vid in data.draw(st.sets(video_ids, min_size=1, max_size=3))
+        }
+        config = data.draw(st.dictionaries(st.text(max_size=5), st.integers()))
+        _round_trip(tmp_path, lambda value, path: fileio.write_clip_samples(path, value, config),
+                    lambda path: fileio.parse_clip_samples(path)[1], specs)
+        assert fileio.parse_clip_samples(tmp_path / "a.jsonl")[0] == config
 
 
 class TestLossLoaders:

@@ -124,6 +124,14 @@ class TestFilterStep:
         with pytest.raises(ValueError, match="nan|inf|0.0"):
             FilterState(procedure=quad, **kwargs)
 
+    @pytest.mark.parametrize("name", ["accumulators", "last_kind", "last_frame"])
+    def test_running_state_is_not_an_argument(self, quad, name):
+        with pytest.raises(TypeError, match=name):
+            FilterState(procedure=quad, threshold=1.0, **{name: None})
+        state = FilterState(procedure=quad, threshold=1.0)
+        assert state.last_frame is None and state.last_kind == [None] * quad.n_components
+        assert state.accumulators.tolist() == [0.0] * quad.n_steps
+
     def test_wrong_length_rejected(self, quad):
         state = FilterState(procedure=quad, threshold=1.0)
         with pytest.raises(Exception):
@@ -329,6 +337,11 @@ class TestProbStream:
         assert stream[1:] == ProbStream.from_frames(frames[1:])
         assert ProbStream.from_frames(frames) == stream
         assert stream != ProbStream([3, 7], [[0.25, 0.0], [0.5, 1.0]], "asd")
+
+    def test_stream_id_checked_as_the_stream_kind(self):
+        frame = ConfidenceFrame(0, (0.5,), "other")
+        with pytest.raises(StructureError, match="kind must be one of"):
+            ProbStream.from_frames([frame])
 
     def test_ragged_frames_rejected(self):
         frames = [ConfidenceFrame(0, (0.1, 0.2)), ConfidenceFrame(1, (0.1,))]

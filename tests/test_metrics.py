@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from psrkit import (
     EditWeights,
     EventSequence,
+    StructureError,
     UndefinedMetricError,
     aggregate,
     average_delay,
@@ -290,6 +291,11 @@ class TestEvaluate:
         gt = seq_of([(A, 10), (B, 20)])
         report = evaluate(gt, gt)
         assert report.pos == 1.0 and report.f1 == 1.0 and report.tau_s == 0.0
+
+    def test_frame_rates_must_match(self):
+        gt = seq_of([(A, 10), (B, 20)], fps=25.0, video_id="clip")
+        with pytest.raises(StructureError, match=r"'clip'.* 10.0 fps.* 25.0 fps"):
+            evaluate(gt, seq_of([(A, 10)], fps=10.0, video_id="clip"))
 
     def test_empty_prediction(self):
         gt = seq_of([(A, 10), (B, 20)])

@@ -11,6 +11,7 @@ from psrkit import (
     Procedure,
     StepEvent,
     StructureError,
+    UnknownTransitionError,
     cumulative_state,
     nominal_events,
     state_diff,
@@ -29,6 +30,8 @@ class TestAssemblyState:
     def test_rejects_garbage(self):
         with pytest.raises(StructureError):
             AssemblyState.from_string("10x01")
+        with pytest.raises(StructureError, match="got 5"):
+            AssemblyState.from_string(5)
         with pytest.raises(StructureError):
             AssemblyState(())
 
@@ -68,6 +71,33 @@ class TestStateDiff:
         assert {c for c, _ in diff} == {c for c, _ in back}
         flipped = {(c, INSTALL if k == REMOVE else REMOVE) for c, k in back}
         assert flipped == set(diff)
+
+
+class TestTransitionActions:
+    @pytest.fixture()
+    def partial(self):
+        """Two components that can be installed but never removed."""
+        return Procedure(
+            components=("a", "b"),
+            actions=(0, 1),
+            action_effects={0: (0, INSTALL), 1: (1, INSTALL)},
+            fps=10,
+            states=tuple(AssemblyState.from_string(b) for b in ("00", "11", "01")),
+        )
+
+    def test_component_order_and_kinds(self, toy):
+        assert toy.transition_actions(toy.states[0], toy.states[1]) == [0, 4, 8]
+        assert toy.transition_actions(toy.states[2], toy.states[1]) == [18, 22]
+        assert toy.transition_actions(toy.states[3], toy.states[3]) == []
+
+    def test_uncovered_change_raises(self, partial):
+        with pytest.raises(UnknownTransitionError) as err:
+            partial.transition_actions(partial.states[1], partial.states[2])
+        assert (err.value.component, err.value.kind) == (0, REMOVE)
+
+    def test_nominal_events_raises_for_a_missing_action(self, partial):
+        with pytest.raises(UnknownTransitionError, match="'remove' of component 0"):
+            nominal_events(partial, [10, 20])
 
 
 class TestCumulativeState:

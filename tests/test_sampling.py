@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psrkit import (
     EventSequence,
@@ -9,6 +10,7 @@ from psrkit import (
     audit_kfs_batch,
     clip_indices,
     clip_label,
+    cumulative_state,
     kcas_pmf,
     kfs_batch,
     nominal_events,
@@ -16,7 +18,7 @@ from psrkit import (
     state_occurrences,
 )
 
-from oracles import naive_clip_label
+from oracles import naive_bits, naive_clip_label, naive_occurrences
 from util import random_event_set
 
 
@@ -196,6 +198,33 @@ class TestStateOccurrences:
     def test_partial_transition_not_counted(self, toy):
         seq = EventSequence.from_events([toy.make_event(0, 10)], fps=10)
         assert state_occurrences(seq, toy) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_replay_matches_naive(self, toy, data):
+        """cumulative_state and state_occurrences against a dict replay, on a
+        nominal prefix (transitions may share a frame) plus random installs,
+        removes and partial transitions."""
+        n = toy.n_components
+        events = {}
+        frame = 0
+        n_transitions = data.draw(st.integers(0, len(toy.states) - 1))
+        for prev, nxt in zip(toy.states, toy.states[1:n_transitions + 1]):
+            frame += data.draw(st.integers(0, 6))
+            for c in range(n):  # toy action c installs component c
+                if nxt.bits[c] != prev.bits[c]:
+                    events[frame, c] = toy.make_event(c, frame)
+        noise = st.tuples(st.integers(0, 80), st.integers(0, toy.n_steps - 1))
+        for f, action in data.draw(st.lists(noise, max_size=12)):
+            events[f, action] = toy.make_event(action, f)
+        seq = EventSequence.from_events(events.values(), fps=toy.fps)
+        flat = [(e.frame, e.component, e.kind) for e in seq.events]
+        known = {s.bits: s.state_id for s in toy.states}
+        assert state_occurrences(seq, toy) == naive_occurrences(flat, n, known)
+        for f in range(0, 90, 3):
+            state = cumulative_state(seq, toy, f)
+            assert state.bits == naive_bits(flat, n, f)
+            assert state.state_id == known.get(state.bits)
 
 
 class TestKfsBatch:

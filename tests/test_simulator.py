@@ -74,6 +74,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             quiet_config(procedure=stateless)
 
+    def test_procedure_must_realize_every_transition(self):
+        toy = toy_motorcycle()
+        # drop "install headlamp" (action 8), which the first transition needs
+        actions = tuple(a for a in toy.actions if a != 8)
+        lacking = dataclasses.replace(
+            toy, actions=actions, action_effects={a: toy.effect(a) for a in actions}
+        )
+        with pytest.raises(ConfigError, match=r"no action for \(8, install\)") as err:
+            quiet_config(procedure=lacking)
+        assert err.value.field == "procedure"
+
 
 class TestSimulate:
     def test_deterministic(self):

@@ -51,6 +51,7 @@ class TestInferSteps:
         with pytest.raises(UnknownTransitionError) as err:
             infer_steps(prev, nxt, proc)
         assert "remove" in str(err.value)
+        assert "at frame 5" in str(err.value) and err.value.frame == 5
 
     def test_round_trip_over_all_table_pairs(self, toy):
         for i, a in enumerate(toy.states):
@@ -111,12 +112,6 @@ class TestAsdStreamProbs:
         )
         assert max(frames[10].probs) == 0.0
         assert max(frames[20].probs) == 0.9
-
-    def test_constant_confidence_mode(self, toy):
-        frames = asd_stream_probs(
-            [det(toy, 1, 10, conf=0.4)], toy, video_len=20, constant_confidence=True
-        )
-        assert max(frames[10].probs) == 1.0
 
     def test_out_of_order_detections(self, toy):
         with pytest.raises(StreamOrderError):
