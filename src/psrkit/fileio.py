@@ -12,8 +12,8 @@ import csv
 import dataclasses
 import json
 import logging
-import math
 import sys
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
 
@@ -59,9 +59,17 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _read_object(path: Path) -> dict:
+def _read_text(path: str | Path) -> str:
     try:
-        doc = json.loads(path.read_text())
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        line = e.object.count(b"\n", 0, e.start) + 1
+        raise SchemaError(f"not UTF-8 text: {e}", str(path), line) from None
+
+
+def _read_object(path: str | Path) -> dict:
+    try:
+        doc = json.loads(_read_text(path))
     except json.JSONDecodeError as e:
         raise SchemaError(f"not valid JSON: {e}", path=str(path)) from e
     if not isinstance(doc, dict):
@@ -70,25 +78,100 @@ def _read_object(path: Path) -> dict:
 
 
 def read_json(path: str | Path, schema: str) -> dict:
-    doc = _read_object(Path(path))
+    doc = _read_object(path)
     _check_header(doc, schema, str(path), 1)
     return doc
 
 
+# A field table declares the fields a reader takes from a record, header or
+# document, one (name, check, what it must be, default) row each; `_record`
+# returns their values in table order. A row whose default is _REQUIRED is a
+# required field. The (check, what) pairs below are the shared kinds; JSON
+# booleans are not numbers, so the checks compare type() and not isinstance().
+_REQUIRED = object()
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_MAX = sys.float_info.max
+
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_COUNT = (lambda v: type(v) is int and v >= 0, "a non-negative integer")
+_FINITE = (lambda v: type(v) in _NUMBER_TYPES and -_FLOAT_MAX <= v <= _FLOAT_MAX, "a finite number")
+_STRING = (lambda v: type(v) is str, "a string")
+
+
+def _list_of(item_type: type, what: str) -> tuple:
+    return (lambda v: type(v) is list and all(type(i) is item_type for i in v), what)
+
+
+_VIDEO_ID = ("video_id", *_STRING, _REQUIRED)
+_FRAME = ("frame", *_COUNT, _REQUIRED)
+_STATE_ID = ("state_id", *_INTEGER, _REQUIRED)
+_FPS = ("fps", lambda v: type(v) in _NUMBER_TYPES and 0 < v <= _FLOAT_MAX,
+        "a finite positive number", _REQUIRED)
+_KIND = ("kind", lambda v: v in KINDS, f"one of {list(KINDS)}", _REQUIRED)
+_VERSION = ("version", lambda v: type(v) is int and v == VERSION, str(VERSION), _REQUIRED)
+
+
+def _record(rec: dict, spec: tuple, path: str, line: int | None) -> list:
+    """The values of `spec`'s fields in `rec`, in table order, each checked."""
+    values = []
+    for name, check, what, default in spec:
+        value = rec.get(name, default)
+        if value is _REQUIRED:
+            raise SchemaError(f"missing field {name!r}", path, line)
+        if not check(value) and value is not default:
+            raise SchemaError(f"{name} must be {what}, got {value!r}", path, line)
+        values.append(value)
+    return values
+
+
+def _names(spec: tuple) -> tuple[str, ...]:
+    return tuple(row[0] for row in spec)
+
+
+_EVENT_FIELDS = (  # StepEvent's fields in its order, as a labels record holds them
+    ("action", *_INTEGER, _REQUIRED), ("component", *_COUNT, _REQUIRED), _KIND,
+    ("correct", lambda v: type(v) is bool, "a boolean", _REQUIRED), _FRAME,
+)
+_EVENT_NAMES = _names(_EVENT_FIELDS)
+_LABEL_FIELDS = (_VIDEO_ID, _FPS, *_EVENT_FIELDS)
+_ASD_FIELDS = (_VIDEO_ID, _FRAME, _STATE_ID, (
+    "confidence", lambda v: type(v) in _NUMBER_TYPES and 0 <= v <= 1, "a number in [0, 1]", _REQUIRED
+))
+_TEMPORAL_FIELDS = (_VIDEO_ID, _FRAME, ("probs", lambda v: type(v) is list, "a list", _REQUIRED))
+_PROCEDURE_FIELDS = (
+    ("name", *_STRING, "procedure"), _FPS,
+    ("components", *_list_of(str, "a list of strings"), _REQUIRED),
+    ("actions", *_list_of(dict, "a list of objects"), _REQUIRED),
+    ("states", *_list_of(dict, "a list of objects or null"), None),
+)
+_ACTION_FIELDS = (("id", *_INTEGER, _REQUIRED), ("component", *_COUNT, _REQUIRED), _KIND)
+_STATE_FIELDS = (  # AssemblyState.from_string's arguments
+    ("bits", *_STRING, _REQUIRED), ("state_id", *_INTEGER, None))
+_CLIP_FIELDS = (  # ClipSpec's fields in its order
+    ("end_frame", *_COUNT, _REQUIRED), ("window", *_COUNT, _REQUIRED),
+    ("indices", *_list_of(int, "a list of integers"), _REQUIRED),
+)
+_CLIP_NAMES = _names(_CLIP_FIELDS)
+_CLIP_HEADER = (("config", lambda v: type(v) is dict, "an object", None),)
+_KFS_HEADER = (  # KfsBatchSpec's fields after its entries, in its order
+    ("t_f", lambda v: type(v) in _NUMBER_TYPES and 0 <= v <= _FLOAT_MAX,
+     "a finite non-negative number", _REQUIRED),
+    ("n_sample", *_COUNT, _REQUIRED), ("n_syn", *_COUNT, _REQUIRED),
+    ("n_state", *_COUNT, _REQUIRED), _FPS,
+)
+_KFS_ENTRY = (_STATE_ID, (
+    "source", lambda v: v in ("real", "synthetic"), "'real' or 'synthetic'", _REQUIRED
+))
+_KFS_REFERENCE = {  # the rest of a KfsEntry's fields, by source
+    "real": (_VIDEO_ID, _FRAME), "synthetic": (("ref", lambda v: True, "any value", _REQUIRED),),
+}
+_OCCLUSION_FIELDS = (
+    _VIDEO_ID, ("mask", lambda v: type(v) is str and not v.strip("01"), "a 0/1 string", _REQUIRED)
+)
+
+
 def _check_header(header: dict, schema: str, path: str, line: int) -> None:
-    if header.get("schema") != schema:
-        raise SchemaError(
-            f"expected schema {schema!r}, found {header.get('schema')!r}",
-            path=path,
-            line=line,
-        )
-    version = header.get("version")
-    if version != VERSION:
-        raise SchemaError(
-            f"file declares version {version!r}; this reader supports {VERSION}",
-            path=path,
-            line=line,
-        )
+    _record(header, (("schema", lambda v: v == schema, repr(schema), _REQUIRED), _VERSION), path, line)
 
 
 def write_jsonl(
@@ -118,44 +201,20 @@ def peek_schema(path: str | Path) -> str | None:
     return None
 
 
-def _field(rec: dict, name: str, path: str, lineno: int):
-    if name not in rec:
-        raise SchemaError(f"missing field {name!r}", path=path, line=lineno)
-    return rec[name]
-
-
-def _int_field(rec: dict, name: str, path: str, lineno: int, non_negative: bool = True) -> int:
-    """A required integer field; JSON booleans are not integers."""
-    value = _field(rec, name, path, lineno)
-    if isinstance(value, bool) or not isinstance(value, int) or (non_negative and value < 0):
-        kind = "a non-negative integer" if non_negative else "an integer"
-        raise SchemaError(f"{name} must be {kind}, got {value!r}", path, lineno)
-    return value
-
-
-# JSON numbers; bool is an int subclass, so type() rather than isinstance()
-_NUMBER_TYPES = frozenset((int, float))
-
-
-def _fps_field(rec: dict, path: str, lineno: int | None) -> float:
-    fps = _field(rec, "fps", path, lineno)
-    if type(fps) not in _NUMBER_TYPES or not 0 < fps <= sys.float_info.max:
-        raise SchemaError(f"fps must be a finite positive number, got {fps!r}", path, lineno)
-    return float(fps)
-
-
 def _collect(
     path: str | Path,
     schema: str,
     parse_one: Callable[[dict, int], Any],
     strict: bool,
-) -> tuple[dict, list]:
-    """Header and `parse_one(record, line number)` of each later record, in one
-    pass over a JSONL file. An empty file yields no records."""
+    header_spec: tuple = (),
+) -> tuple[list, list]:
+    """The header's `header_spec` values and `parse_one(record, line number)`
+    of each later record, in one pass over a JSONL file. An empty file yields
+    no records, and its header fields their defaults."""
     spath = str(path)
     header = None
     out = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         try:
@@ -166,7 +225,7 @@ def _collect(
             raise SchemaError("each line must be a JSON object", spath, lineno)
         if header is None:
             _check_header(rec, schema, spath, lineno)
-            header = rec
+            header = _record(rec, header_spec, spath, lineno)
             continue
         try:
             out.append(parse_one(rec, lineno))
@@ -174,7 +233,7 @@ def _collect(
             if strict:
                 raise
             log.warning("skipping bad record: %s", e)
-    return header or {}, out
+    return _record({}, header_spec, spath, 1) if header is None else header, out
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +241,9 @@ def _collect(
 
 
 def serialize_labels(sequences: Mapping[str, EventSequence], path: str | Path) -> None:
+    event_fields = attrgetter(*_EVENT_NAMES)
     records = (
-        {"action": e.action, "component": e.component, "correct": e.correct,
-         "fps": sequences[video_id].fps, "frame": e.frame, "kind": e.kind, "video_id": video_id}
+        dict(zip(_EVENT_NAMES, event_fields(e)), fps=sequences[video_id].fps, video_id=video_id)
         for video_id in sorted(sequences)
         for e in sequences[video_id].events
     )
@@ -205,17 +264,7 @@ def parse_labels(
     spath = str(path)
 
     def parse_one(rec: dict, lineno: int):
-        video_id = _field(rec, "video_id", spath, lineno)
-        frame = _int_field(rec, "frame", spath, lineno)
-        fps = _fps_field(rec, spath, lineno)
-        action = _int_field(rec, "action", spath, lineno, non_negative=False)
-        component = _int_field(rec, "component", spath, lineno)
-        kind = _field(rec, "kind", spath, lineno)
-        correct = _field(rec, "correct", spath, lineno)
-        if kind not in KINDS:
-            raise SchemaError(f"kind must be one of {list(KINDS)}, got {kind!r}", spath, lineno)
-        if not isinstance(correct, bool):
-            raise SchemaError(f"correct must be a boolean, got {correct!r}", spath, lineno)
+        video_id, fps, action, component, kind, correct, frame = _record(rec, _LABEL_FIELDS, spath, lineno)
         if proc is not None:
             if action not in proc.action_effects:
                 raise SchemaError(f"unknown action {action} for procedure {proc.name!r}", spath, lineno)
@@ -226,10 +275,7 @@ def parse_labels(
                     spath,
                     lineno,
                 )
-        event = StepEvent(
-            action=action, component=component, kind=kind, correct=correct, frame=frame
-        )
-        return lineno, str(video_id), fps, event
+        return lineno, video_id, float(fps), StepEvent(action, component, kind, correct, frame)
 
     _, rows = _collect(path, LABELS_SCHEMA, parse_one, strict)
     by_video: dict[str, list] = {}
@@ -290,18 +336,13 @@ def parse_asd_stream(
     }
 
     def parse_one(rec: dict, lineno: int):
-        video_id = str(_field(rec, "video_id", spath, lineno))
-        frame = _int_field(rec, "frame", spath, lineno)
-        state_id = _int_field(rec, "state_id", spath, lineno, non_negative=False)
-        confidence = _field(rec, "confidence", spath, lineno)
+        video_id, frame, state_id, confidence = _record(rec, _ASD_FIELDS, spath, lineno)
         if state_id not in states_by_id:
             raise SchemaError(
                 f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
                 spath,
                 lineno,
             )
-        if isinstance(confidence, bool) or not isinstance(confidence, (int, float)) or not 0 <= confidence <= 1:
-            raise SchemaError(f"confidence must be in [0, 1], got {confidence!r}", spath, lineno)
         return lineno, video_id, StateDetection(
             frame=frame, state=states_by_id[state_id], confidence=float(confidence)
         )
@@ -364,11 +405,7 @@ def parse_temporal_stream(
     width_of: dict[str, int] = {}
 
     def parse_one(rec: dict, lineno: int):
-        video_id = str(_field(rec, "video_id", spath, lineno))
-        frame = _int_field(rec, "frame", spath, lineno)
-        probs = _field(rec, "probs", spath, lineno)
-        if not isinstance(probs, list):
-            raise SchemaError("probs must be a list", spath, lineno)
+        video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
         width = width_of.setdefault(video_id, len(probs) if n_steps is None else n_steps)
         if len(probs) != width:
             raise SchemaError(
@@ -444,35 +481,16 @@ def load_procedure(path: str | Path) -> Procedure:
     """A procedure document; a malformed one is a SchemaError naming the file."""
     doc = read_json(path, PROCEDURE_SCHEMA)
     spath = str(path)
-
-    def listed(rec: dict, name: str, item_type: type) -> list:
-        items = _field(rec, name, spath, None)
-        if not isinstance(items, list) or not all(isinstance(i, item_type) for i in items):
-            raise SchemaError(f"{name} must be a list of {item_type.__name__}", spath)
-        return items
-
-    def state(rec: dict) -> AssemblyState:
-        state_id = rec.get("state_id")
-        if state_id is not None:
-            state_id = _int_field(rec, "state_id", spath, None, non_negative=False)
-        return AssemblyState.from_string(_field(rec, "bits", spath, None), state_id)
-
-    name = doc.get("name", "procedure")
-    if not isinstance(name, str):
-        raise SchemaError(f"name must be a string, got {name!r}", spath)
-    actions = listed(doc, "actions", dict)
-    ids = [_int_field(a, "id", spath, None, non_negative=False) for a in actions]
+    name, fps, components, actions, states = _record(doc, _PROCEDURE_FIELDS, spath, None)
+    actions = [_record(a, _ACTION_FIELDS, spath, None) for a in actions]
     try:
         return Procedure(
-            components=tuple(listed(doc, "components", str)),
-            actions=tuple(ids),
-            action_effects={
-                i: (_int_field(a, "component", spath, None), _field(a, "kind", spath, None))
-                for i, a in zip(ids, actions)
-            },
-            fps=_fps_field(doc, spath, None),
-            states=None if doc.get("states") is None else tuple(
-                map(state, listed(doc, "states", dict))
+            components=tuple(components),
+            actions=tuple(i for i, _, _ in actions),
+            action_effects={i: (c, k) for i, c, k in actions},
+            fps=float(fps),
+            states=None if states is None else tuple(
+                AssemblyState.from_string(*_record(s, _STATE_FIELDS, spath, None)) for s in states
             ),
             name=name,
         )
@@ -543,9 +561,9 @@ def write_series_csv(rows: Iterable[tuple], path: str | Path) -> None:
 def write_clip_samples(
     path: str | Path, specs: Mapping[str, Sequence[ClipSpec]], config: Mapping[str, Any]
 ) -> None:
+    clip_fields = attrgetter(*_CLIP_NAMES)
     records = (
-        {"end_frame": s.end_frame, "indices": list(s.indices), "video_id": video_id,
-         "window": s.window}
+        dict(zip(_CLIP_NAMES, clip_fields(s)), video_id=video_id)
         for video_id in sorted(specs)
         for s in specs[video_id]
     )
@@ -556,43 +574,26 @@ def parse_clip_samples(path: str | Path) -> tuple[dict, dict[str, list[ClipSpec]
     spath = str(path)
 
     def parse_one(rec: dict, lineno: int):
-        indices = _field(rec, "indices", spath, lineno)
-        if not isinstance(indices, list) or not all(type(i) is int for i in indices):
-            raise SchemaError(f"indices must be a list of integers, got {indices!r}", spath, lineno)
+        video_id, end_frame, window, indices = _record(rec, (_VIDEO_ID, *_CLIP_FIELDS), spath, lineno)
         try:
-            return str(_field(rec, "video_id", spath, lineno)), ClipSpec(
-                end_frame=_int_field(rec, "end_frame", spath, lineno),
-                window=_int_field(rec, "window", spath, lineno),
-                indices=tuple(indices),
-            )
+            return video_id, ClipSpec(end_frame, window, tuple(indices))
         except StructureError as e:
             raise SchemaError(f"malformed clip record: {e}", spath, lineno) from e
 
-    header, rows = _collect(path, CLIP_SAMPLES_SCHEMA, parse_one, strict=True)
+    (config,), rows = _collect(path, CLIP_SAMPLES_SCHEMA, parse_one, True, _CLIP_HEADER)
     out: dict[str, list[ClipSpec]] = {}
     for video_id, spec in rows:
         out.setdefault(video_id, []).append(spec)
-    return header.get("config", {}), out
+    return config or {}, out
 
 
 def write_kfs_batch(path: str | Path, spec: KfsBatchSpec, config: Mapping[str, Any]) -> None:
-    extra = {
-        "config": dict(config),
-        "t_f": spec.t_f,
-        "n_sample": spec.n_sample,
-        "n_syn": spec.n_syn,
-        "n_state": spec.n_state,
-        "fps": spec.fps,
-    }
-    records = []
-    for e in spec.entries:
-        rec: dict[str, Any] = {"source": e.source, "state_id": e.state_id}
-        if e.source == "real":
-            rec["video_id"] = e.video_id
-            rec["frame"] = e.frame
-        else:
-            rec["ref"] = e.ref
-        records.append(rec)
+    extra = {name: getattr(spec, name) for name in _names(_KFS_HEADER)}
+    extra["config"] = dict(config)
+    records = (
+        {name: getattr(e, name) for name in _names(_KFS_ENTRY + _KFS_REFERENCE[e.source])}
+        for e in spec.entries
+    )
     write_jsonl(path, KFS_BATCH_SCHEMA, records, header_extra=extra)
 
 
@@ -600,38 +601,16 @@ def parse_kfs_batch(path: str | Path) -> KfsBatchSpec:
     spath = str(path)
 
     def parse_one(rec: dict, lineno: int):
-        source = _field(rec, "source", spath, lineno)
-        state_id = _int_field(rec, "state_id", spath, lineno, non_negative=False)
-        if source == "real":
-            return KfsEntry(
-                state_id=state_id,
-                source="real",
-                video_id=str(_field(rec, "video_id", spath, lineno)),
-                frame=_int_field(rec, "frame", spath, lineno),
-            )
-        if source == "synthetic":
-            return KfsEntry(
-                state_id=state_id, source="synthetic", ref=_field(rec, "ref", spath, lineno)
-            )
-        raise SchemaError(f"unknown source {source!r}", spath, lineno)
+        state_id, source = _record(rec, _KFS_ENTRY, spath, lineno)
+        spec = _KFS_REFERENCE[source]
+        return KfsEntry(state_id, source, **dict(zip(_names(spec), _record(rec, spec, spath, lineno))))
 
-    header, entries = _collect(path, KFS_BATCH_SCHEMA, parse_one, strict=True)
-    try:
-        return KfsBatchSpec(
-            entries=tuple(entries),
-            t_f=header["t_f"],
-            n_sample=header["n_sample"],
-            n_syn=header["n_syn"],
-            n_state=header["n_state"],
-            fps=header["fps"],
-        )
-    except KeyError as e:
-        raise SchemaError(f"batch header missing {e}", spath, line=1) from e
+    header, entries = _collect(path, KFS_BATCH_SCHEMA, parse_one, True, _KFS_HEADER)
+    return KfsBatchSpec(tuple(entries), *header)
 
 
 def load_synthetic_pool(path: str | Path) -> dict[int, list]:
     """A JSON object mapping each state id (a string key) to a list of references."""
-    path = Path(path)
     raw = _read_object(path)
     pool = {}
     for key, refs in raw.items():
@@ -663,10 +642,7 @@ def parse_occlusion_masks(path: str | Path) -> dict[str, list[bool]]:
     masks: dict[str, list[bool]] = {}
 
     def parse_one(rec: dict, lineno: int):
-        video_id = str(_field(rec, "video_id", spath, lineno))
-        mask = _field(rec, "mask", spath, lineno)
-        if not isinstance(mask, str) or any(c not in "01" for c in mask):
-            raise SchemaError(f"mask must be a 0/1 string, got {mask!r}", spath, lineno)
+        video_id, mask = _record(rec, _OCCLUSION_FIELDS, spath, lineno)
         if video_id in masks:
             raise SchemaError(f"second mask for video {video_id!r}", spath, lineno)
         masks[video_id] = [c == "1" for c in mask]
@@ -683,7 +659,7 @@ def load_embedding_batch(path: str | Path, temperature: float = 0.07) -> Embeddi
     """Rows of `<label> <v1> ... <vd>`; blank lines and #-comments ignored."""
     labels = []
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -707,7 +683,7 @@ def load_prob_batch(path: str | Path) -> ProbBatch:
     targets followed by C predicted probabilities."""
     lines = [
         (no, ln.strip())
-        for no, ln in enumerate(Path(path).read_text().splitlines(), start=1)
+        for no, ln in enumerate(_read_text(path).splitlines(), start=1)
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
@@ -734,22 +710,6 @@ def load_prob_batch(path: str | Path) -> ProbBatch:
 # simulator config
 
 
-def _json_number(value, hint, where: str):
-    """A JSON number checked for a field annotated `hint`: an int field takes
-    an integer, any other (float) field a finite number, converted to float."""
-    if isinstance(value, bool) or not isinstance(value, int if hint is int else (int, float)):
-        raise ConfigError(where, f"has the wrong type: {value!r}")
-    if hint is int:
-        return value
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ConfigError(where, f"must be a finite number, got {value!r}")
-    return value
-
-
 def _from_json(cls, doc, section: str = "", **defaults):
     """An instance of dataclass `cls` read from a JSON object.
 
@@ -773,7 +733,11 @@ def _from_json(cls, doc, section: str = "", **defaults):
         if dataclasses.is_dataclass(hints[f.name]) and f.name not in defaults:
             kwargs[f.name] = _from_json(hints[f.name], doc.get(f.name, {}), where)
         elif f.name in doc:
-            kwargs[f.name] = _json_number(doc[f.name], hints[f.name], where)
+            value = doc[f.name]
+            check, what = _INTEGER if hints[f.name] is int else _FINITE
+            if not check(value):
+                raise ConfigError(where, f"must be {what}, got {value!r}")
+            kwargs[f.name] = value if hints[f.name] is int else float(value)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]
         elif f.default is dataclasses.MISSING:

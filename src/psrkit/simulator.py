@@ -123,9 +123,17 @@ class SimConfig:
             raise ConfigError("procedure", "needs a nominal state sequence to simulate")
         for prev, nxt in zip(states, states[1:]):
             try:
-                self.procedure.transition_actions(prev, nxt)
+                actions = self.procedure.transition_actions(prev, nxt)
             except UnknownTransitionError as e:
                 raise ConfigError("procedure", f"no action for ({e.component}, {e.kind})") from None
+            if self.errors.p_incorrect == 0:
+                continue
+            for component, kind in map(self.procedure.effect, actions):
+                # an erred install is undone by the component's remove action
+                if kind == INSTALL and self.procedure.action_for(component, REMOVE) is None:
+                    raise ConfigError(
+                        "procedure", f"error model needs a remove action for component {component}"
+                    )
         if self.procedure.fps != self.fps:
             object.__setattr__(self, "procedure", dataclasses.replace(self.procedure, fps=self.fps))
 
@@ -178,13 +186,8 @@ def _ground_truth(proc: Procedure, cfg: SimConfig, rng: np.random.Generator, vid
             erred = kind == INSTALL and rng.random() < cfg.errors.p_incorrect
             events.append(proc.make_event(action, frame, correct=not erred))
             if erred:
-                remove_action = proc.action_for(component, REMOVE)
-                if remove_action is None:
-                    raise ConfigError(
-                        "procedure", f"error model needs a remove action for component {component}"
-                    )
                 fix_cursor += max(1, int(round(rng.exponential(cfg.step_gap / 4))))
-                events.append(proc.make_event(remove_action, fix_cursor))
+                events.append(proc.make_event(proc.action_for(component, REMOVE), fix_cursor))
                 fix_cursor += max(1, int(round(rng.exponential(cfg.step_gap / 4))))
                 events.append(proc.make_event(action, fix_cursor, correct=True))
         cursor = max(cursor, fix_cursor)

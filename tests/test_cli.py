@@ -359,6 +359,23 @@ class TestSimulateCommand:
         assert "'procedure': no action for (8, install)" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_error_model_needs_remove_actions(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        installs = tuple(a for a in toy.actions if toy.effect(a)[1] == "install")
+        proc_path = tmp_path / "proc.json"
+        fileio.save_procedure(dataclasses.replace(
+            toy, actions=installs, action_effects={a: toy.effect(a) for a in installs}
+        ), proc_path)
+        doc = {**sim_config_doc(), "procedure": str(proc_path)}
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(doc))
+        assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "a")]) == 0
+        config_path.write_text(json.dumps({**doc, "errors": {"p_incorrect": 0.05}}))
+        out = tmp_path / "b"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 3
+        assert "error model needs a remove action for component" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_config_is_a_config_error(self, tmp_path, capsys):
         doc = sim_config_doc()
         doc["step_gap"] = float("inf")
@@ -474,6 +491,18 @@ class TestValidateCommand:
         path.write_text(json.dumps({**json.loads(path.read_text()), field: value}))
         assert main(["validate", "--procedure", str(path)]) == 3
         assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,schema", [
+        ("--labels", fileio.LABELS_SCHEMA),
+        ("--streams", fileio.TEMPORAL_SCHEMA),
+        ("--procedure", fileio.PROCEDURE_SCHEMA),
+    ])
+    def test_non_utf8_file_is_a_parse_failure(self, tmp_path, capsys, flag, schema):
+        path = tmp_path / "file.json"
+        header = json.dumps({"schema": schema, "version": 1}).encode()
+        path.write_bytes(header + b'\n{"video_id": "\xff"}\n')
+        assert main(["validate", flag, str(path)]) == 3
+        assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
 
     def test_temporal_stream(self, tmp_path, capsys):
         stream = tmp_path / "temporal.jsonl"

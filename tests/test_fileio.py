@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 import re
+import typing
 from itertools import accumulate
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from psrkit import (
+    KINDS,
     AssemblyState,
     ClipSpec,
     ConfidenceFrame,
@@ -20,6 +23,7 @@ from psrkit import (
     KfsBatchSpec,
     KfsEntry,
     ProbStream,
+    Procedure,
     SchemaError,
     StateDetection,
     StructureError,
@@ -35,6 +39,7 @@ from psrkit.simulator import (
     OcclusionModel,
     SimConfig,
     TemporalModel,
+    Thresholds,
 )
 from psrkit import fileio
 from psrkit.sampling import clip_indices
@@ -380,10 +385,11 @@ class TestProcedureCodec:
         (lambda d: d["actions"][1].update(id=True), "id must be an integer"),
         (lambda d: d["actions"][1].update(id=2.9), "id must be an integer"),
         (lambda d: d["actions"][1].update(component=-1), "component must be"),
-        (lambda d: d["actions"][1].update(kind="paint"), "invalid kind"),
+        (lambda d: d["actions"][1].update(kind="paint"),
+         "kind must be one of ['install', 'remove'], got 'paint'"),
         (lambda d: d["actions"][1].pop("kind"), "missing field 'kind'"),
         (lambda d: d.update(actions={"id": 0}), "actions must be a list"),
-        (lambda d: d["states"][1].update(bits=5), "bit string must be non-empty 0/1, got 5"),
+        (lambda d: d["states"][1].update(bits=5), "bits must be a string, got 5"),
         (lambda d: d["states"][1].update(bits="10x"), "bit string must be"),
         (lambda d: d["states"][1].update(state_id="one"), "state_id must be an integer"),
         (lambda d: d.update(states=[5]), "states must be a list"),
@@ -504,6 +510,194 @@ class TestSamplerCodecs:
         assert fileio.parse_occlusion_masks(path) == masks
 
 
+# Bad values for the field kinds of the field tables: a wrong JSON type, a
+# boolean and null where a number goes, and non-integral or non-finite numbers.
+NOT_AN_INTEGER = ("7", "zz", True, None, 1.0, 2.0, 7.9, math.nan, math.inf)
+NOT_A_COUNT = NOT_AN_INTEGER + (-1,)
+NOT_A_NUMBER = ("0.5", True, None, math.nan, math.inf, -math.inf)
+NOT_AN_FPS = NOT_A_NUMBER + (0, -10.0)
+NOT_A_STRING = (7, True, None, ["v"])
+NOT_A_KIND = ("paint", 7, None)
+MISSING = object()
+
+TOY = toy_motorcycle()
+TOY_DOC = {
+    "name": TOY.name, "fps": TOY.fps, "components": list(TOY.components),
+    "actions": [{"id": a, "component": c, "kind": k} for a, (c, k) in TOY.action_effects.items()],
+    "states": [{"bits": s.to_string(), "state_id": s.state_id} for s in TOY.states],
+}
+REAL_ENTRY = {"frame": 7, "source": "real", "state_id": 1, "video_id": "v"}
+CLIP = {"end_frame": 300, "indices": [299, 300], "video_id": "v", "window": 2}
+KFS_HEADER = {"fps": 10.0, "n_sample": 1, "n_state": 1, "n_syn": 1, "t_f": 2.0}
+
+
+def record_file(schema):
+    """Writes one record of `schema`, on line 2."""
+    return lambda path, rec: fileio.write_jsonl(path, schema, [rec])
+
+
+def header_file(schema, record):
+    """Writes a header of `schema` holding `rec`'s fields, then `record`."""
+    return lambda path, rec: fileio.write_jsonl(path, schema, [record], header_extra=rec)
+
+
+def procedure_file(part=None):
+    """Writes a procedure document: `rec` is the document, or `part`'s second element."""
+    def write(path, rec):
+        doc = {**TOY_DOC, part: [TOY_DOC[part][0], rec, *TOY_DOC[part][2:]]} if part else rec
+        fileio.write_json(path, {"schema": fileio.PROCEDURE_SCHEMA, "version": 1, **doc})
+    return write
+
+
+class TableCase(NamedTuple):
+    name: str
+    schema: str
+    table: tuple
+    valid: dict
+    write: Callable
+    parse: Callable
+    line: int | None  # None for a JSON document, whose fields have no line
+    bad: dict  # bad values for each field of the table
+
+
+TABLE_CASES = [
+    TableCase("labels", fileio.LABELS_SCHEMA, fileio._LABEL_FIELDS,
+              {"action": 0, "component": 0, "correct": True, "fps": 10.0, "frame": 5,
+               "kind": "install", "video_id": "v"},
+              record_file(fileio.LABELS_SCHEMA), fileio.parse_labels, 2,
+              {"video_id": NOT_A_STRING, "fps": NOT_AN_FPS, "action": NOT_AN_INTEGER,
+               "component": NOT_A_COUNT, "kind": NOT_A_KIND, "correct": (1, "true", None),
+               "frame": NOT_A_COUNT}),
+    TableCase("asd", fileio.ASD_SCHEMA, fileio._ASD_FIELDS,
+              {"confidence": 0.9, "frame": 5, "state_id": 1, "video_id": "v"},
+              record_file(fileio.ASD_SCHEMA), lambda path: fileio.parse_asd_stream(path, TOY), 2,
+              {"video_id": NOT_A_STRING, "frame": NOT_A_COUNT, "state_id": NOT_AN_INTEGER,
+               "confidence": NOT_A_NUMBER + (1.5, -0.1)}),
+    TableCase("temporal", fileio.TEMPORAL_SCHEMA, fileio._TEMPORAL_FIELDS,
+              {"frame": 5, "probs": [0.5, 0.0], "video_id": "v"},
+              record_file(fileio.TEMPORAL_SCHEMA), fileio.parse_temporal_stream, 2,
+              {"video_id": NOT_A_STRING, "frame": NOT_A_COUNT, "probs": ("0.5", 0.5, None, {})}),
+    TableCase("procedure", fileio.PROCEDURE_SCHEMA, fileio._PROCEDURE_FIELDS, TOY_DOC,
+              procedure_file(), fileio.load_procedure, None,
+              {"name": (7, None, ["a"]), "fps": NOT_AN_FPS,
+               "components": ("abc", [1, 2], None, [["a"]]), "actions": ({"id": 0}, [5], None),
+               "states": ("0101", [5], 5)}),
+    TableCase("procedure-action", fileio.PROCEDURE_SCHEMA, fileio._ACTION_FIELDS,
+              TOY_DOC["actions"][1], procedure_file("actions"), fileio.load_procedure, None,
+              {"id": NOT_AN_INTEGER, "component": NOT_A_COUNT, "kind": NOT_A_KIND}),
+    TableCase("procedure-state", fileio.PROCEDURE_SCHEMA, fileio._STATE_FIELDS,
+              TOY_DOC["states"][1], procedure_file("states"), fileio.load_procedure, None,
+              {"bits": (5, None, ["1"]),
+               "state_id": tuple(v for v in NOT_AN_INTEGER if v is not None)}),  # null: no id
+    TableCase("clip", fileio.CLIP_SAMPLES_SCHEMA, (fileio._VIDEO_ID, *fileio._CLIP_FIELDS), CLIP,
+              record_file(fileio.CLIP_SAMPLES_SCHEMA), fileio.parse_clip_samples, 2,
+              {"video_id": NOT_A_STRING, "end_frame": NOT_A_COUNT, "window": NOT_A_COUNT,
+               "indices": ("299", [True, 300], [299.0, 300], None)}),
+    TableCase("clip-header", fileio.CLIP_SAMPLES_SCHEMA, fileio._CLIP_HEADER, {"config": {"seed": 1}},
+              header_file(fileio.CLIP_SAMPLES_SCHEMA, CLIP), fileio.parse_clip_samples, 1,
+              {"config": ([1], "x", 5)}),
+    TableCase("kfs-header", fileio.KFS_BATCH_SCHEMA, fileio._KFS_HEADER, KFS_HEADER,
+              header_file(fileio.KFS_BATCH_SCHEMA, REAL_ENTRY), fileio.parse_kfs_batch, 1,
+              {"t_f": NOT_A_NUMBER + ("abc", -1.0), "n_sample": NOT_A_COUNT,
+               "n_syn": NOT_A_COUNT + (-3,), "n_state": NOT_A_COUNT, "fps": NOT_AN_FPS}),
+    TableCase("kfs-real", fileio.KFS_BATCH_SCHEMA,
+              fileio._KFS_ENTRY + fileio._KFS_REFERENCE["real"], REAL_ENTRY,
+              lambda path, rec: fileio.write_jsonl(path, fileio.KFS_BATCH_SCHEMA, [rec],
+                                                   header_extra=KFS_HEADER),
+              fileio.parse_kfs_batch, 2,
+              {"source": ("x", 7, None), "state_id": NOT_AN_INTEGER, "video_id": NOT_A_STRING,
+               "frame": NOT_A_COUNT}),
+    TableCase("kfs-synthetic", fileio.KFS_BATCH_SCHEMA,
+              fileio._KFS_ENTRY + fileio._KFS_REFERENCE["synthetic"],
+              {"ref": "r", "source": "synthetic", "state_id": 1},
+              lambda path, rec: fileio.write_jsonl(path, fileio.KFS_BATCH_SCHEMA, [rec],
+                                                   header_extra=KFS_HEADER),
+              fileio.parse_kfs_batch, 2,
+              {"source": ("x", 7, None), "state_id": NOT_AN_INTEGER, "ref": ()}),  # any ref
+    TableCase("occlusion", fileio.OCCLUSION_SCHEMA, fileio._OCCLUSION_FIELDS,
+              {"mask": "0110", "video_id": "v"},
+              record_file(fileio.OCCLUSION_SCHEMA), fileio.parse_occlusion_masks, 2,
+              {"video_id": NOT_A_STRING, "mask": (5, None, ["0", "1"], "01x")}),
+]
+
+
+def table_variants():
+    for case in TABLE_CASES:
+        for field, _, what, default in case.table:
+            required = (MISSING,) if default is fileio._REQUIRED else ()
+            for value in required + case.bad[field]:
+                label = "missing" if value is MISSING else repr(value)
+                yield pytest.param(case, field, what, value, id=f"{case.name}-{field}-{label}")
+
+
+def sim_config_fields(cls=SimConfig, section=()):
+    """(field path, is an integer, is required) for each number a sim config holds."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.name == "procedure":  # a name or a path, read by load_sim_config
+            continue
+        if dataclasses.is_dataclass(hints[f.name]):
+            yield from sim_config_fields(hints[f.name], section + (f.name,))
+        else:
+            required = f.default is f.default_factory is dataclasses.MISSING
+            yield section + (f.name,), hints[f.name] is int, required
+    if cls is SimConfig:
+        yield from sim_config_fields(Thresholds, ("thresholds",))
+
+
+class TestFieldTables:
+    """Every field of every file schema: a missing field or a bad value is
+    refused, naming the file, the line and the field."""
+
+    def test_every_schema_with_a_reader_is_covered(self):
+        schemas = {v for k, v in vars(fileio).items() if k.endswith("_SCHEMA")}
+        written_only = {fileio.REPORT_SCHEMA, fileio.COMPARISON_SCHEMA}
+        covered = {case.schema for case in TABLE_CASES} | {fileio.SIM_CONFIG_SCHEMA}
+        assert covered == schemas - written_only
+        for case in TABLE_CASES:
+            assert set(case.bad) == {row[0] for row in case.table}, case.name
+
+    @pytest.mark.parametrize("case,field,what,value", table_variants())
+    def test_bad_field(self, tmp_path, case, field, what, value):
+        path = tmp_path / "file"
+        case.write(path, case.valid)
+        case.parse(path)
+        rec = {k: v for k, v in case.valid.items() if k != field}
+        if value is not MISSING:
+            rec[field] = value
+        case.write(path, rec)
+        with pytest.raises(SchemaError) as err:
+            case.parse(path)
+        where = f"{path}:{case.line}: " if case.line else f"{path}: "
+        if value is MISSING:
+            assert str(err.value) == f"{where}missing field {field!r}"
+        else:
+            assert str(err.value) == f"{where}{field} must be {what}, got {value!r}"
+
+    @pytest.mark.parametrize("field,integral,required", [
+        pytest.param(*f, id=".".join(f[0])) for f in sim_config_fields()
+    ])
+    def test_bad_sim_config_field(self, tmp_path, field, integral, required):
+        bad = ("7", True, 7.9, 2.0, math.nan, math.inf) if integral else NOT_A_NUMBER
+        what = "an integer" if integral else "a finite number"
+        path = tmp_path / "config.json"
+        for value in (MISSING,) * required + bad:
+            doc = {"schema": fileio.SIM_CONFIG_SCHEMA, "version": 1,
+                   "occlusion": {"p_occlude": 0.1, "p_reveal": 0.1}}
+            section = doc
+            for name in field[:-1]:
+                section = section.setdefault(name, {})
+            section.pop(field[-1], None)
+            if value is not MISSING:
+                section[field[-1]] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ConfigError) as err:
+                fileio.load_sim_config(path)
+            assert err.value.field == ".".join(field)
+            if value is not MISSING:
+                assert str(err.value).endswith(f"must be {what}, got {value!r}")
+
+
 def _round_trip(tmp_path, write, parse, value):
     """parse(write(value)) == value, and writing the parsed value again gives
     the same bytes."""
@@ -588,6 +782,41 @@ class TestCodecProperties:
                     lambda path: fileio.parse_clip_samples(path)[1], specs)
         assert fileio.parse_clip_samples(tmp_path / "a.jsonl")[0] == config
 
+    @codec_settings
+    @given(data=st.data())
+    def test_occlusion_masks(self, tmp_path, data):
+        masks = data.draw(st.dictionaries(video_ids, st.lists(st.booleans(), max_size=40),
+                                          min_size=1, max_size=3))
+        _round_trip(tmp_path, fileio.write_occlusion_masks, fileio.parse_occlusion_masks, masks)
+
+    @codec_settings
+    @given(data=st.data())
+    def test_procedure(self, tmp_path, data):
+        n = data.draw(st.integers(1, 6))
+        effects = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(KINDS)),
+                                     unique=True, max_size=2 * n))
+        ids = data.draw(st.lists(st.integers(-10**6, 10**6), unique=True,
+                                 min_size=len(effects), max_size=len(effects)))
+        states = None
+        if data.draw(st.booleans()):
+            bits = data.draw(st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=1, max_size=6))
+            bits = [b for i, b in enumerate(bits) if i == 0 or b != bits[i - 1]]
+            state_ids = data.draw(st.lists(st.integers(-50, 50), unique=True,
+                                           min_size=len(bits), max_size=len(bits)))
+            states = tuple(
+                AssemblyState(b, i if data.draw(st.booleans()) else None)
+                for b, i in zip(bits, state_ids)
+            )
+        proc = Procedure(
+            components=tuple(data.draw(st.lists(st.text(max_size=6), min_size=n, max_size=n))),
+            actions=tuple(ids),
+            action_effects=dict(zip(ids, effects)),
+            fps=data.draw(finite_positive),
+            states=states,
+            name=data.draw(st.text(max_size=8)),
+        )
+        _round_trip(tmp_path, fileio.save_procedure, fileio.load_procedure, proc)
+
 
 class TestLossLoaders:
     def test_embeddings(self, tmp_path):
@@ -622,6 +851,13 @@ class TestLossLoaders:
         path.write_text("0 1.0 0.0\n0 nan 0.0\n")
         with pytest.raises(StructureError, match="row norms"):
             fileio.load_embedding_batch(path)
+
+    @pytest.mark.parametrize("load", [fileio.load_embedding_batch, fileio.load_prob_batch])
+    def test_non_utf8_names_the_file_and_line(self, tmp_path, load):
+        path = tmp_path / "batch.txt"
+        path.write_bytes(b"2\n1 0 0.9 0.2\n0 1 0.1 \xff\n")
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}:3: not UTF-8 text"):
+            load(path)
 
     def test_probs_bad_width(self, tmp_path):
         path = tmp_path / "probs.txt"

@@ -85,6 +85,20 @@ class TestConfigValidation:
             quiet_config(procedure=lacking)
         assert err.value.field == "procedure"
 
+    def test_error_model_needs_remove_actions(self):
+        toy = toy_motorcycle()
+        installs = tuple(a for a in toy.actions if toy.effect(a)[1] == "install")
+        installs_only = dataclasses.replace(
+            toy, actions=installs, action_effects={a: toy.effect(a) for a in installs}
+        )
+        # refused whatever the seed, before any video is simulated
+        for seed in range(6):
+            quiet_config(seed=seed, n_videos=1, procedure=installs_only)
+            with pytest.raises(ConfigError, match="needs a remove action for component") as err:
+                quiet_config(seed=seed, n_videos=1, procedure=installs_only,
+                             errors=ErrorModel(0.05))
+            assert err.value.field == "procedure"
+
 
 class TestSimulate:
     def test_deterministic(self):
