@@ -54,8 +54,11 @@ class SchemaError(PsrError, ValueError):
 
 
 class ConfigError(PsrError, ValueError):
-    """A simulation or CLI configuration is invalid; names the offending field."""
+    """A simulation or CLI configuration is invalid; names the offending field,
+    and the file when it was read from one."""
 
-    def __init__(self, field: str, message: str):
-        super().__init__(f"config field '{field}': {message}")
+    def __init__(self, field: str, message: str, path: str | None = None):
+        loc = "" if path is None else f"{path}: "
+        super().__init__(f"{loc}config field '{field}': {message}")
         self.field = field
+        self.message = message

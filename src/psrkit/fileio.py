@@ -12,10 +12,12 @@ import csv
 import dataclasses
 import json
 import logging
+import re
 import sys
+from array import array
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Sequence, get_type_hints
+from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -163,7 +165,7 @@ _KFS_ENTRY = (_STATE_ID, (
     "source", lambda v: v in ("real", "synthetic"), "'real' or 'synthetic'", _REQUIRED
 ))
 _KFS_REFERENCE = {  # the rest of a KfsEntry's fields, by source
-    "real": (_VIDEO_ID, _FRAME), "synthetic": (("ref", lambda v: True, "any value", _REQUIRED),),
+    "real": (_VIDEO_ID, _FRAME), "synthetic": (("ref", *_STRING, _REQUIRED),),
 }
 _OCCLUSION_FIELDS = (
     _VIDEO_ID, ("mask", lambda v: type(v) is str and not v.strip("01"), "a 0/1 string", _REQUIRED)
@@ -207,14 +209,21 @@ def _collect(
     parse_one: Callable[[dict, int], Any],
     strict: bool,
     header_spec: tuple = (),
+    fast: Callable[[str, int], Any] = lambda line, lineno: None,
 ) -> tuple[list, list]:
     """The header's `header_spec` values and `parse_one(record, line number)`
     of each later record, in one pass over a JSONL file. An empty file yields
-    no records, and its header fields their defaults."""
+    no records, and its header fields their defaults. A later line for which
+    `fast(line, line number)` is not None takes that value unparsed."""
     spath = str(path)
     header = None
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+        if header is not None:
+            row = fast(line, lineno)
+            if row is not None:
+                out.append(row)
+                continue
         if not line.strip():
             continue
         try:
@@ -384,14 +393,32 @@ def parse_stream(
 def serialize_temporal_stream(
     frames: Mapping[str, ProbStream | Sequence[ConfidenceFrame]], path: str | Path
 ) -> None:
-    records = []
+    """The canonical records, written as text, floats as the JSON encoder does."""
+    lines = [canonical_dumps({"schema": TEMPORAL_SCHEMA, "version": VERSION})]
     for video_id in sorted(frames):
         stream = as_stream(frames[video_id])
-        records.extend(
-            {"frame": frame, "probs": probs, "video_id": video_id}
-            for frame, probs in zip(stream.frames.tolist(), stream.probs.tolist())
-        )
-    write_jsonl(path, TEMPORAL_SCHEMA, records)
+        probs = stream.probs  # a row of +0.0 only is one shared text
+        rows = np.full(len(stream), ",".join(["0.0"] * probs.shape[1]), dtype=object)
+        evidence = np.flatnonzero(((probs != 0.0) | np.signbit(probs)).any(axis=1))
+        rows[evidence] = [",".join(map(float.__repr__, row)) for row in probs[evidence].tolist()]
+        tail = '],"video_id":' + canonical_dumps(video_id) + "}"
+        lines.extend(f'{{"frame":{frame},"probs":[{row}{tail}'
+                     for frame, row in zip(stream.frames.tolist(), rows.tolist()))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# A temporal record in the canonical layout, with a frame that fits an int64
+# and a video id without escapes; other lines are read as JSON objects.
+_scan_json = json.JSONDecoder().scan_once  # (the JSON value at an index, its end)
+_TEMPORAL_LINE = re.compile(
+    r'\{"frame":(0|[1-9][0-9]{0,17}),"probs":(\[[^\]]*\]),"video_id":"([^"\\\x00-\x1f]*)"\}'
+)
+
+
+def _unit_numbers(probs: list) -> bool:
+    """JSON numbers only, integers 0 or 1: floats are range checked later, as an array."""
+    types = set(map(type, probs))
+    return types <= _NUMBER_TYPES and (int not in types or in_unit_interval(probs))
 
 
 def parse_temporal_stream(
@@ -400,9 +427,37 @@ def parse_temporal_stream(
     strict: bool = True,
 ) -> dict[str, ProbStream]:
     """One "temporal" stream per video. Every row of a video has the same
-    length: `n_steps` if given, else that of the video's first row."""
+    length: `n_steps` if given, else that of the video's first row. A line in
+    the writer's layout is read by its `probs` text, decoded once per file."""
     spath = str(path)
     width_of: dict[str, int] = {}
+    tables: dict[int, list] = {}  # width -> [its distinct rows end to end, their count]
+    row_of: dict[str, tuple | bool] = {}  # probs text -> (width, row index), False if refused
+
+    def add(probs: list) -> tuple[int, int]:
+        table = tables.setdefault(len(probs), [array("d"), 0])
+        table[0].extend(probs)
+        table[1] += 1
+        return len(probs), table[1] - 1
+
+    def fast(line: str, lineno: int):
+        match = _TEMPORAL_LINE.fullmatch(line)
+        if match is None:
+            return None
+        frame, text, video_id = match.groups()
+        row = row_of.get(text)
+        if row is None:
+            try:  # text holds one "]", its last character, so the list is all of it
+                probs = _scan_json(text, 0)[0]
+            except (ValueError, StopIteration):
+                probs = None
+            row = row_of[text] = probs is not None and _unit_numbers(probs) and add(probs)
+        if not row:
+            return None
+        width, index = row
+        if width_of.setdefault(video_id, width if n_steps is None else n_steps) != width:
+            return None  # parse_one names the line
+        return video_id, (lineno, int(frame), index)
 
     def parse_one(rec: dict, lineno: int):
         video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
@@ -413,21 +468,19 @@ def parse_temporal_stream(
                 spath,
                 lineno,
             )
-        types = set(map(type, probs))
-        # Ranges are checked per video below, once the floats are an array;
-        # a JSON integer other than 0 or 1 may not even fit in one.
-        if not types <= _NUMBER_TYPES or (int in types and not in_unit_interval(probs)):
+        if not _unit_numbers(probs):
             raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
-        return video_id, lineno, frame, probs
+        return video_id, (lineno, frame, add(probs)[1])
 
-    _, rows = _collect(path, TEMPORAL_SCHEMA, parse_one, strict)
+    _, records = _collect(path, TEMPORAL_SCHEMA, parse_one, strict, fast=fast)
+    distinct = {width: np.frombuffer(flat).reshape(n, width) for width, (flat, n) in tables.items()}
     by_video: dict[str, list] = {}
-    for video_id, *row in rows:
-        by_video.setdefault(video_id, []).append(row)
+    for video_id, record in records:
+        by_video.setdefault(video_id, []).append(record)
     out = {}
     for video_id, video_rows in by_video.items():
-        lines, frames, probs = zip(*video_rows)
-        probs = np.array(probs, dtype=np.float64).reshape(len(lines), width_of[video_id])
+        lines, frames, index = zip(*video_rows)
+        probs = distinct[width_of[video_id]][list(index)]
         keep = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
         for t in np.flatnonzero(~keep).tolist():
             err = SchemaError(f"frame {frames[t]}: probabilities outside [0, 1]", spath, lines[t])
@@ -609,17 +662,18 @@ def parse_kfs_batch(path: str | Path) -> KfsBatchSpec:
     return KfsBatchSpec(tuple(entries), *header)
 
 
-def load_synthetic_pool(path: str | Path) -> dict[int, list]:
-    """A JSON object mapping each state id (a string key) to a list of references."""
+def load_synthetic_pool(path: str | Path) -> dict[int, list[str]]:
+    """A JSON object mapping each state id (a string key) to a list of reference strings."""
     raw = _read_object(path)
+    check, what = _list_of(str, "a list of strings")
     pool = {}
     for key, refs in raw.items():
         try:
             state_id = int(key)
         except ValueError:
             raise SchemaError(f"state id {key!r} is not an integer", path=str(path)) from None
-        if not isinstance(refs, list):
-            raise SchemaError(f"state {key}: references must be a list", path=str(path))
+        if not check(refs):
+            raise SchemaError(f"state {key}: references must be {what}, got {refs!r}", str(path))
         pool[state_id] = refs
     return pool
 
@@ -716,7 +770,8 @@ def _from_json(cls, doc, section: str = "", **defaults):
     Names, types and defaults come from the dataclass fields: a field with no
     default is required, a dataclass-typed field is a nested object read the
     same way (absent means empty), and `defaults` overrides a field's default.
-    Unknown keys are rejected; errors name the field as `section.field`.
+    A null value is taken where the hint admits None. Unknown keys are
+    rejected; errors name the field as `section.field`.
     """
     if not isinstance(doc, dict):
         raise ConfigError(section, "must be an object")
@@ -735,9 +790,10 @@ def _from_json(cls, doc, section: str = "", **defaults):
         elif f.name in doc:
             value = doc[f.name]
             check, what = _INTEGER if hints[f.name] is int else _FINITE
-            if not check(value):
+            null = value is None and type(None) in get_args(hints[f.name])
+            if not (check(value) or null):
                 raise ConfigError(where, f"must be {what}, got {value!r}")
-            kwargs[f.name] = value if hints[f.name] is int else float(value)
+            kwargs[f.name] = value if hints[f.name] is int or null else float(value)
         elif f.name in defaults:
             kwargs[f.name] = defaults[f.name]
         elif f.default is dataclasses.MISSING:
@@ -746,18 +802,21 @@ def _from_json(cls, doc, section: str = "", **defaults):
 
 
 def load_sim_config(path: str | Path):
-    """(SimConfig, thresholds dict) from a JSON config document."""
+    """(SimConfig, thresholds dict) from a JSON config document; errors name the file."""
     from .simulator import SimConfig, Thresholds
 
     doc = read_json(path, SIM_CONFIG_SCHEMA)
     body = {k: v for k, v in doc.items() if k not in ("schema", "version")}
     proc_spec = body.pop("procedure", "toy-motorcycle")
     thresholds = body.pop("thresholds", {})
-    if not isinstance(proc_spec, str):
-        raise ConfigError("procedure", "must be a builtin name or a file path")
-    proc = resolve_procedure(proc_spec)
-    config = _from_json(SimConfig, body, procedure=proc, fps=float(proc.fps))
-    return config, dataclasses.asdict(_from_json(Thresholds, thresholds, "thresholds"))
+    try:
+        if not isinstance(proc_spec, str):
+            raise ConfigError("procedure", "must be a builtin name or a file path")
+        proc = resolve_procedure(proc_spec)
+        config = _from_json(SimConfig, body, procedure=proc, fps=float(proc.fps))
+        return config, dataclasses.asdict(_from_json(Thresholds, thresholds, "thresholds"))
+    except ConfigError as e:
+        raise ConfigError(e.field, e.message, str(path)) from None
 
 
 def parse_weights(spec: str) -> EditWeights:

@@ -9,6 +9,7 @@ verifies.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 
 import numpy as np
@@ -195,3 +196,17 @@ def naive_occurrences(events, n_components, known):
         if bits in known:
             out.append((f, known[bits]))
     return out
+
+
+def temporal_stream_text(streams):
+    """The temporal-stream file of `streams` (video id -> ProbStream) as the
+    codec first wrote it: a canonical JSON object per line, header first."""
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [dumps({"schema": "psrkit/temporal-stream", "version": 1})]
+    for video_id in sorted(streams):
+        stream = streams[video_id]
+        lines.extend(
+            dumps({"frame": frame, "probs": probs, "video_id": video_id})
+            for frame, probs in zip(stream.frames.tolist(), stream.probs.tolist())
+        )
+    return "\n".join(lines) + "\n"

@@ -345,6 +345,26 @@ class TestSimulateCommand:
                      "--out", str(tmp_path / "o")]) == 3
         assert "p_occlude" in capsys.readouterr().err
 
+    def test_malformed_config_names_the_file(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**sim_config_doc(), "n_videos": "three"}))
+        assert main(["simulate", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: config field 'n_videos': must be an integer, got 'three'\n"
+        )
+
+    def test_null_temporal_threshold_is_the_fused_one(self, tmp_path):
+        config_path = tmp_path / "config.json"
+        outputs = []
+        for temporal in ({}, {"temporal": None}):
+            doc = {**sim_config_doc(), "thresholds": {"asd": 0.5, "fused": 0.4, **temporal}}
+            config_path.write_text(json.dumps(doc))
+            out = tmp_path / f"o{len(outputs)}"
+            assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
     def test_procedure_lacking_an_action(self, tmp_path, capsys):
         toy = toy_motorcycle()
         actions = tuple(a for a in toy.actions if a != 8)  # no "install headlamp"
@@ -459,6 +479,18 @@ class TestSampleCommand:
                      "--synthetic-pool", str(pool_path),
                      "--out", str(tmp_path / "batch.jsonl")]) == 3
         assert str(pool_path) in capsys.readouterr().err
+
+    def test_kfs_pool_of_non_strings_is_a_parse_failure(self, tmp_path, labels_path, capsys):
+        pool_path = tmp_path / "pool.json"
+        pool_path.write_text(json.dumps({str(s): [None, 5] for s in range(1, 12)}))
+        out = tmp_path / "batch.jsonl"
+        assert main(["sample", "--labels", labels_path, "--mode", "kfs",
+                     "--procedure", "toy-motorcycle", "--n-syn", "8",
+                     "--synthetic-pool", str(pool_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {pool_path}: state 1: references must be a list of strings, got [None, 5]\n"
+        )
+        assert not out.exists()
 
 
 class TestValidateCommand:

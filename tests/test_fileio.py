@@ -44,6 +44,7 @@ from psrkit.simulator import (
 from psrkit import fileio
 from psrkit.sampling import clip_indices
 
+from oracles import temporal_stream_text
 from util import random_event_set, seq_of
 
 
@@ -147,6 +148,50 @@ class TestLabelsCodec:
             fileio.parse_labels(path, proc=toy)
 
 
+# Probabilities the float strategy never draws: a negative zero, the least
+# subnormal, a repeating binary fraction and the top of the range.
+EDGE_PROBS = (-0.0, 0.0, 5e-324, 1 / 3, 1.0)
+LINE_STYLES = ("canonical", "spaced", "reordered", "integers", "escaped")
+
+
+def draw_temporal_streams(data):
+    """Up to 3 temporal streams with gappy frames and rows of up to 5 steps."""
+    streams = {}
+    for video_id in data.draw(st.sets(st.text(min_size=1, max_size=6), min_size=1, max_size=3)):
+        gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
+        frames = list(accumulate(gaps, initial=data.draw(st.integers(0, 10**9))))[:-1]
+        width = data.draw(st.integers(0, 5))
+        value = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBS))
+        row = st.lists(value, min_size=width, max_size=width)
+        probs = [data.draw(row) for _ in frames]
+        streams[video_id] = ProbStream(
+            frames, np.array(probs).reshape(len(frames), width), "temporal"
+        )
+    return streams
+
+
+def reencode(rec, style):
+    """A temporal record as one JSON line in `style`; "canonical" is the
+    layout the writer uses."""
+    probs = rec["probs"]
+    if style == "integers":  # +0.0 and 1.0 as the JSON integers 0 and 1
+        probs = [int(p) if p == 1.0 or (p == 0.0 and math.copysign(1, p) > 0) else p
+                 for p in probs]
+    probs = json.dumps(probs, separators=(",", ":"))
+    video_id = json.dumps(rec["video_id"])
+    if style == "escaped":  # every UTF-16 code unit as a \u escape
+        units = rec["video_id"].encode("utf-16-be")
+        video_id = '"' + "".join(
+            f"\\u{int.from_bytes(units[i:i + 2], 'big'):04x}" for i in range(0, len(units), 2)
+        ) + '"'
+    if style == "reordered":
+        return f'{{"video_id":{video_id},"probs":{probs},"frame":{rec["frame"]}}}'
+    if style == "spaced":
+        probs = probs.replace(",", ", ")
+        return f'{{ "frame": {rec["frame"]}, "probs": {probs}, "video_id": {video_id} }}'
+    return f'{{"frame":{rec["frame"]},"probs":{probs},"video_id":{video_id}}}'
+
+
 class TestStreamCodecs:
     def test_asd_round_trip(self, toy, tmp_path):
         dets = {
@@ -230,26 +275,84 @@ class TestStreamCodecs:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_temporal_codec_is_the_identity(self, tmp_path, data):
-        """serialize -> parse returns the streams, gappy frames and all, and
+        """serialize -> parse returns the streams, gappy frames and all,
+        serializing writes the bytes of one canonical JSON object per row, and
         serializing the parsed streams again writes the same bytes."""
-        streams = {}
-        for video_id in data.draw(st.sets(st.text(min_size=1, max_size=6),
-                                          min_size=1, max_size=3)):
-            gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
-            frames = list(accumulate(gaps, initial=data.draw(st.integers(0, 10**9))))[:-1]
-            width = data.draw(st.integers(0, 5))
-            row = st.lists(st.floats(0.0, 1.0), min_size=width, max_size=width)
-            probs = [data.draw(row) for _ in frames]
-            streams[video_id] = ProbStream(
-                frames, np.array(probs).reshape(len(frames), width), "temporal"
-            )
+        streams = draw_temporal_streams(data)
         path = tmp_path / "t.jsonl"
         fileio.serialize_temporal_stream(streams, path)
+        assert path.read_bytes() == temporal_stream_text(streams).encode()
         parsed = fileio.parse_temporal_stream(path)
         assert parsed == streams
         again = tmp_path / "again.jsonl"
         fileio.serialize_temporal_stream(parsed, again)
         assert again.read_bytes() == path.read_bytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_json_layout_parses_as_the_canonical_file(self, tmp_path, data):
+        """Lines re-encoded with spaces, other key orders, integer
+        probabilities or escaped video ids, alone or mixed with canonical
+        lines, parse to the same streams."""
+        streams = draw_temporal_streams(data)
+        path = tmp_path / "t.jsonl"
+        fileio.serialize_temporal_stream(streams, path)
+        header, *lines = path.read_text().splitlines()
+        styles = data.draw(st.lists(st.sampled_from(LINE_STYLES), min_size=1, unique=True))
+        lines = [reencode(json.loads(line), data.draw(st.sampled_from(styles))) for line in lines]
+        path.write_text("\n".join([header, *lines]) + "\n")
+        assert fileio.parse_temporal_stream(path) == streams
+
+    def test_signed_zero_rows(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        stream = ProbStream([0, 1], [[-0.0, 0.0], [0.0, 0.0]], "temporal")
+        fileio.serialize_temporal_stream({"v": stream}, path)
+        assert path.read_text().splitlines()[1:] == [
+            '{"frame":0,"probs":[-0.0,0.0],"video_id":"v"}',
+            '{"frame":1,"probs":[0.0,0.0],"video_id":"v"}',
+        ]
+        probs = fileio.parse_temporal_stream(path)["v"].probs
+        assert np.signbit(probs).tolist() == [[True, False], [False, False]]
+
+    def test_repeated_probs_of_the_wrong_width_name_their_line(self, tmp_path, caplog):
+        path = tmp_path / "temporal.jsonl"
+        lines = [
+            '{"schema":"psrkit/temporal-stream","version":1}',
+            '{"frame":0,"probs":[0.5,0.0],"video_id":"v"}',
+            '{"frame":1,"probs":[0.25],"video_id":"v"}',  # first [0.25], too short for v
+            '{"frame":0,"probs":[0.25],"video_id":"w"}',
+            '{"frame":1,"probs":[0.5,0.0],"video_id":"w"}',  # line 2's text, too long for w
+            '{"frame":2,"probs":[0.25],"video_id":"w"}',
+        ]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=r":3: frame 1: probs has length 1, expected 2$"):
+            fileio.parse_temporal_stream(path)
+        assert fileio.parse_temporal_stream(path, strict=False) == {
+            "v": ProbStream([0], [[0.5, 0.0]], "temporal"),
+            "w": ProbStream([0, 2], [[0.25], [0.25]], "temporal"),
+        }
+        assert ":3: frame 1: probs has length 1" in caplog.text
+        assert ":5: frame 1: probs has length 2, expected 1" in caplog.text
+        path.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        with pytest.raises(SchemaError, match=r":4: frame 1: probs has length 2, expected 1$"):
+            fileio.parse_temporal_stream(path)
+
+    @pytest.mark.parametrize("bad", ["2", '"0.5"', "true", "null", "[0.5]",
+                                     pytest.param("1" + "0" * 400, id="10**400")])
+    def test_repeated_bad_probs_name_each_line(self, tmp_path, caplog, bad):
+        path = tmp_path / "temporal.jsonl"
+        path.write_text(
+            '{"schema":"psrkit/temporal-stream","version":1}\n'
+            f'{{"frame":0,"probs":[0.5,{bad}],"video_id":"v"}}\n'
+            '{"frame":1,"probs":[0.5,0.0],"video_id":"v"}\n'
+            f'{{"frame":2,"probs":[0.5,{bad}],"video_id":"v"}}\n'
+        )
+        with pytest.raises(SchemaError, match=r":2: frame 0: probabilities outside"):
+            fileio.parse_temporal_stream(path)
+        parsed = fileio.parse_temporal_stream(path, strict=False)
+        assert parsed == {"v": ProbStream([1], [[0.5, 0.0]], "temporal")}
+        assert ":2: frame 0" in caplog.text and ":4: frame 2" in caplog.text
 
     def test_ragged_rows_name_the_line(self, tmp_path, caplog):
         path = tmp_path / "temporal.jsonl"
@@ -459,7 +562,8 @@ class TestSamplerCodecs:
         with pytest.raises(SchemaError, match=f":2: {field} must be"):
             fileio.parse_kfs_batch(path)
 
-    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"x": ["a"]}', '{"1": "a"}'])
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]", '{"x": ["a"]}', '{"1": "a"}',
+                                      '{"1": [null, 5]}', '{"1": ["a", ["b"]]}'])
     def test_bad_synthetic_pool_names_the_file(self, tmp_path, text):
         path = tmp_path / "pool.json"
         path.write_text(text)
@@ -613,7 +717,7 @@ TABLE_CASES = [
               lambda path, rec: fileio.write_jsonl(path, fileio.KFS_BATCH_SCHEMA, [rec],
                                                    header_extra=KFS_HEADER),
               fileio.parse_kfs_batch, 2,
-              {"source": ("x", 7, None), "state_id": NOT_AN_INTEGER, "ref": ()}),  # any ref
+              {"source": ("x", 7, None), "state_id": NOT_AN_INTEGER, "ref": NOT_A_STRING}),
     TableCase("occlusion", fileio.OCCLUSION_SCHEMA, fileio._OCCLUSION_FIELDS,
               {"mask": "0110", "video_id": "v"},
               record_file(fileio.OCCLUSION_SCHEMA), fileio.parse_occlusion_masks, 2,
@@ -631,7 +735,8 @@ def table_variants():
 
 
 def sim_config_fields(cls=SimConfig, section=()):
-    """(field path, is an integer, is required) for each number a sim config holds."""
+    """(field path, is an integer, is required, admits null) for each number a
+    sim config holds."""
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         if f.name == "procedure":  # a name or a path, read by load_sim_config
@@ -640,7 +745,8 @@ def sim_config_fields(cls=SimConfig, section=()):
             yield from sim_config_fields(hints[f.name], section + (f.name,))
         else:
             required = f.default is f.default_factory is dataclasses.MISSING
-            yield section + (f.name,), hints[f.name] is int, required
+            nullable = type(None) in typing.get_args(hints[f.name])
+            yield section + (f.name,), hints[f.name] is int, required, nullable
     if cls is SimConfig:
         yield from sim_config_fields(Thresholds, ("thresholds",))
 
@@ -674,11 +780,12 @@ class TestFieldTables:
         else:
             assert str(err.value) == f"{where}{field} must be {what}, got {value!r}"
 
-    @pytest.mark.parametrize("field,integral,required", [
+    @pytest.mark.parametrize("field,integral,required,nullable", [
         pytest.param(*f, id=".".join(f[0])) for f in sim_config_fields()
     ])
-    def test_bad_sim_config_field(self, tmp_path, field, integral, required):
+    def test_bad_sim_config_field(self, tmp_path, field, integral, required, nullable):
         bad = ("7", True, 7.9, 2.0, math.nan, math.inf) if integral else NOT_A_NUMBER
+        bad = tuple(v for v in bad if not (nullable and v is None))
         what = "an integer" if integral else "a finite number"
         path = tmp_path / "config.json"
         for value in (MISSING,) * required + bad:
@@ -694,6 +801,7 @@ class TestFieldTables:
             with pytest.raises(ConfigError) as err:
                 fileio.load_sim_config(path)
             assert err.value.field == ".".join(field)
+            assert str(err.value).startswith(f"{path}: config field ")
             if value is not MISSING:
                 assert str(err.value).endswith(f"must be {what}, got {value!r}")
 
