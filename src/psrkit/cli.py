@@ -229,11 +229,14 @@ def cmd_recognize(args) -> int:
             dets[-1].frame + 1 if dets else 0,
             int(temp.frames[-1]) + 1 if temp is not None else 0,
         )
-        stream = _densify(temp, video_len, proc.n_steps) if temporal is not None else None
-        if asd is not None:
-            asd_probs = asd_stream_probs(dets, proc, video_len, min_confidence=args.min_confidence)
-            stream = asd_probs if stream is None else fuse_streams(asd_probs, stream)
-        record = np.empty(stream.probs.shape) if args.series_out else None
+        try:  # dense arrays of video_len rows
+            stream = _densify(temp, video_len, proc.n_steps) if temporal is not None else None
+            if asd is not None:
+                asd_probs = asd_stream_probs(dets, proc, video_len, min_confidence=args.min_confidence)
+                stream = asd_probs if stream is None else fuse_streams(asd_probs, stream)
+            record = np.empty(stream.probs.shape) if args.series_out else None
+        except MemoryError:
+            raise ValueError(f"video {vid!r}: {video_len} frames do not fit in memory") from None
         predictions[vid] = run_filter(
             stream, proc, args.threshold, args.decay, args.evidence_floor,
             video_id=vid, record=record,

@@ -22,7 +22,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_typ
 import numpy as np
 
 from .errors import ConfigError, SchemaError, StructureError
-from .filtering import ConfidenceFrame, ProbStream, as_stream, in_unit_interval
+from .filtering import ProbStream, in_unit_interval
 from .losses import EmbeddingBatch, ProbBatch
 from .metrics import DatasetSummary, EditWeights, EvaluationReport
 from .procedure import (
@@ -69,11 +69,19 @@ def _read_text(path: str | Path) -> str:
         raise SchemaError(f"not UTF-8 text: {e}", str(path), line) from None
 
 
-def _read_object(path: str | Path) -> dict:
+def _decode(text: str | bytes, path: str, line: int | None = None, decode=json.loads) -> Any:
+    """`decode(text)`; text that is not JSON, or that nests or counts past the
+    decoder's limits, is a SchemaError naming the file and the line."""
     try:
-        doc = json.loads(_read_text(path))
+        return decode(text)
     except json.JSONDecodeError as e:
-        raise SchemaError(f"not valid JSON: {e}", path=str(path)) from e
+        raise SchemaError(f"invalid JSON: {e.msg}", path, line or e.lineno) from None
+    except (ValueError, RecursionError) as e:  # not text, or an integer or a nesting too long
+        raise SchemaError(f"invalid JSON: {e}", path, line) from None
+
+
+def _read_object(path: str | Path) -> dict:
+    doc = _decode(_read_text(path), str(path))
     if not isinstance(doc, dict):
         raise SchemaError("expected a JSON object", path=str(path))
     return doc
@@ -139,7 +147,9 @@ _LABEL_FIELDS = (_VIDEO_ID, _FPS, *_EVENT_FIELDS)
 _ASD_FIELDS = (_VIDEO_ID, _FRAME, _STATE_ID, (
     "confidence", lambda v: type(v) in _NUMBER_TYPES and 0 <= v <= 1, "a number in [0, 1]", _REQUIRED
 ))
-_TEMPORAL_FIELDS = (_VIDEO_ID, _FRAME, ("probs", lambda v: type(v) is list, "a list", _REQUIRED))
+_TEMPORAL_FIELDS = (_VIDEO_ID, (  # a frame is an int64 in the stream's array
+    "frame", lambda v: type(v) is int and 0 <= v < 2**63, "an integer in [0, 2**63)", _REQUIRED
+), ("probs", lambda v: type(v) is list, "a list", _REQUIRED))
 _PROCEDURE_FIELDS = (
     ("name", *_STRING, "procedure"), _FPS,
     ("components", *_list_of(str, "a list of strings"), _REQUIRED),
@@ -196,8 +206,8 @@ def peek_schema(path: str | Path) -> str | None:
         for line in fh:
             if line.strip():
                 try:
-                    obj = json.loads(line)
-                except ValueError:  # not JSON, or not text
+                    obj = _decode(line, str(path))
+                except SchemaError:
                     return None
                 return obj.get("schema") if isinstance(obj, dict) else None
     return None
@@ -226,10 +236,7 @@ def _collect(
                 continue
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise SchemaError(f"invalid JSON: {e.msg}", spath, lineno) from e
+        rec = _decode(line, spath, lineno)
         if not isinstance(rec, dict):
             raise SchemaError("each line must be a JSON object", spath, lineno)
         if header is None:
@@ -390,13 +397,11 @@ def parse_stream(
     raise SchemaError(f"not a recognized stream schema: {schema!r}", str(path))
 
 
-def serialize_temporal_stream(
-    frames: Mapping[str, ProbStream | Sequence[ConfidenceFrame]], path: str | Path
-) -> None:
+def serialize_temporal_stream(streams: Mapping[str, ProbStream], path: str | Path) -> None:
     """The canonical records, written as text, floats as the JSON encoder does."""
     lines = [canonical_dumps({"schema": TEMPORAL_SCHEMA, "version": VERSION})]
-    for video_id in sorted(frames):
-        stream = as_stream(frames[video_id])
+    for video_id in sorted(streams):
+        stream = streams[video_id]
         probs = stream.probs  # a row of +0.0 only is one shared text
         rows = np.full(len(stream), ",".join(["0.0"] * probs.shape[1]), dtype=object)
         evidence = np.flatnonzero(((probs != 0.0) | np.signbit(probs)).any(axis=1))
@@ -447,11 +452,9 @@ def parse_temporal_stream(
         frame, text, video_id = match.groups()
         row = row_of.get(text)
         if row is None:
-            try:  # text holds one "]", its last character, so the list is all of it
-                probs = _scan_json(text, 0)[0]
-            except (ValueError, StopIteration):
-                probs = None
-            row = row_of[text] = probs is not None and _unit_numbers(probs) and add(probs)
+            # text holds one "]", its last character, so the list is all of it
+            probs = _decode(text, spath, lineno, lambda text: _scan_json(text, 0)[0])
+            row = row_of[text] = _unit_numbers(probs) and add(probs)
         if not row:
             return None
         width, index = row

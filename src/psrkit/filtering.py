@@ -67,8 +67,8 @@ class ProbStream:
     Validated once at construction: frames are strictly increasing
     non-negative integers, one per row, and every probability lies in
     [0, 1] (NaN rejected). Both arrays are read-only copies, and streams
-    compare by value. Indexing and iteration yield `ConfidenceFrame`s;
-    slicing yields a stream.
+    compare by value. Iteration yields `ConfidenceFrame`s; slicing yields a
+    stream, and `stream.probs[t]` is row t.
     """
 
     frames: np.ndarray
@@ -130,10 +130,10 @@ class ProbStream:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ProbStream(self.frames[i], self.probs[i], self.kind)
-        return ConfidenceFrame(int(self.frames[i]), tuple(self.probs[i].tolist()), self.kind)
+    def __getitem__(self, i: slice) -> ProbStream:
+        if not isinstance(i, slice):
+            raise TypeError(f"index a stream by slice, not {i!r}; stream.probs[t] is row t")
+        return ProbStream(self.frames[i], self.probs[i], self.kind)
 
     def __iter__(self):
         for frame, row in zip(self.frames.tolist(), self.probs.tolist()):
@@ -152,11 +152,6 @@ class ProbStream:
 
     def __repr__(self) -> str:
         return f"ProbStream(kind={self.kind!r}, frames={len(self)}, n_steps={self.n_steps})"
-
-
-def as_stream(frames: ProbStream | Iterable[ConfidenceFrame]) -> ProbStream:
-    """`frames` itself if it is a stream, else the stream of its frames."""
-    return frames if isinstance(frames, ProbStream) else ProbStream.from_frames(frames)
 
 
 @dataclass
@@ -286,7 +281,7 @@ def filter_stream(
 
 
 def run_filter(
-    frames: ProbStream | Iterable[ConfidenceFrame],
+    stream: ProbStream,
     proc: Procedure,
     threshold: float,
     decay: float = 0.75,
@@ -296,7 +291,7 @@ def run_filter(
 ) -> EventSequence:
     """Filter a whole ordered stream into an event sequence.
 
-    Equivalent to folding `filter_step` over the frames in any chunking.
+    Equivalent to folding `filter_step` over the stream's frames in any chunking.
     `record` is passed on to `filter_stream`.
     """
     state = FilterState(
@@ -305,26 +300,12 @@ def run_filter(
         decay=decay,
         evidence_floor=evidence_floor,
     )
-    events = filter_stream(state, as_stream(frames), record)
+    events = filter_stream(state, stream, record)
     return EventSequence.from_events(events, video_id=video_id, fps=proc.fps)
 
 
-def _check_weights(w_asd: float, w_temporal: float) -> None:
-    if w_asd < 0 or w_temporal < 0 or abs(w_asd + w_temporal - 1.0) > 1e-12:
-        raise ValueError("fusion weights must be non-negative and sum to 1")
-
-
-def fuse(
-    asd: ConfidenceFrame,
-    temporal: ConfidenceFrame,
-    w_asd: float = 0.5,
-    w_temporal: float = 0.5,
-) -> ConfidenceFrame:
-    """Element-wise weighted average of two aligned frames (default 0.5/0.5).
-
-    Weights may sum to a hair over 1, so fused values are clamped at 1.
-    """
-    _check_weights(w_asd, w_temporal)
+def fuse(asd: ConfidenceFrame, temporal: ConfidenceFrame) -> ConfidenceFrame:
+    """Element-wise average of two aligned frames."""
     if asd.frame != temporal.frame:
         raise AlignmentError(
             f"frame mismatch: {asd.frame} vs {temporal.frame}"
@@ -334,25 +315,18 @@ def fuse(
             f"length mismatch at frame {asd.frame}: "
             f"{len(asd.probs)} vs {len(temporal.probs)}"
         )
-    fused = [w_asd * a + w_temporal * t for a, t in zip(asd.probs, temporal.probs)]
-    if fused and max(fused) > 1.0:
-        fused = [min(p, 1.0) for p in fused]
+    fused = [0.5 * a + 0.5 * t for a, t in zip(asd.probs, temporal.probs)]
     return ConfidenceFrame(frame=asd.frame, probs=fused, stream_id="fused")
 
 
 def fuse_streams(
-    asd_frames: ProbStream | Sequence[ConfidenceFrame],
-    temporal_frames: ProbStream | Sequence[ConfidenceFrame],
-    w_asd: float = 0.5,
-    w_temporal: float = 0.5,
+    asd: ProbStream | Sequence[ConfidenceFrame],
+    temporal: ProbStream | Sequence[ConfidenceFrame],
 ) -> ProbStream:
     """Fuse two streams frame by frame, as `fuse` does; both must cover the same frames."""
-    _check_weights(w_asd, w_temporal)
-    if len(asd_frames) != len(temporal_frames):
-        raise AlignmentError(
-            f"streams differ in length: {len(asd_frames)} vs {len(temporal_frames)}"
-        )
-    a, b = as_stream(asd_frames), as_stream(temporal_frames)
+    if len(asd) != len(temporal):
+        raise AlignmentError(f"streams differ in length: {len(asd)} vs {len(temporal)}")
+    a, b = (s if isinstance(s, ProbStream) else ProbStream.from_frames(s) for s in (asd, temporal))
     apart = np.flatnonzero(a.frames != b.frames)
     if apart.size:
         t = apart[0]
@@ -361,6 +335,4 @@ def fuse_streams(
         raise AlignmentError(
             f"length mismatch at frame {a.frames[0]}: {a.n_steps} vs {b.n_steps}"
         )
-    fused = w_asd * a.probs + w_temporal * b.probs
-    np.minimum(fused, 1.0, out=fused)
-    return ProbStream(a.frames, fused, "fused")
+    return ProbStream(a.frames, 0.5 * a.probs + 0.5 * b.probs, "fused")

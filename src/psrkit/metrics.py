@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import StructureError, UndefinedMetricError
+from .errors import PsrError, StructureError, UndefinedMetricError
 from .procedure import ActionId, EventSequence
 
 
@@ -182,7 +182,10 @@ _INFEASIBLE = 1e12
 
 
 def _match_optimal(gt: EventSequence, pred: EventSequence) -> MatchLedger:
-    from scipy.optimize import linear_sum_assignment
+    try:
+        from scipy.optimize import linear_sum_assignment
+    except ImportError:
+        raise PsrError("optimal matching needs scipy: install psrkit[matching]") from None
 
     matches: list[tuple[int, int]] = []
     matched_pred: set[int] = set()

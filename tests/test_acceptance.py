@@ -17,6 +17,7 @@ from psrkit import (
     FilterState,
     INSTALL,
     Procedure,
+    ProbStream,
     average_delay,
     damerau_levenshtein,
     evaluate,
@@ -50,7 +51,7 @@ from oracles import (
     naive_clip_label,
     naive_supcon,
 )
-from util import random_event_set, seq_of
+from util import constant_stream, random_event_set, seq_of
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -293,11 +294,7 @@ def test_criterion_7_filter_semantics():
     rng = np.random.default_rng(7)
 
     def constant_emission_frame(t, p):
-        frames = [
-            ConfidenceFrame(frame=f, probs=(p,) + (0.0,) * 5, stream_id="temporal")
-            for f in range(1, 400)
-        ]
-        seq = run_filter(frames, proc, threshold=t)
+        seq = run_filter(constant_stream(6, 0, p, range(1, 400)), proc, threshold=t)
         return seq.events[0].frame if seq.events else None
 
     closed_ok = True
@@ -315,10 +312,9 @@ def test_criterion_7_filter_semantics():
 
     chunk_ok = True
     for _ in range(100):
-        frames = []
-        for f in range(int(rng.integers(20, 120))):
-            probs = np.where(rng.random(6) < 0.35, rng.random(6), 0.0)
-            frames.append(ConfidenceFrame(frame=f, probs=tuple(probs)))
+        rows = [np.where(rng.random(6) < 0.35, rng.random(6), 0.0)
+                for _ in range(int(rng.integers(20, 120)))]
+        frames = ProbStream.dense(np.reshape(rows, (len(rows), 6)))
         whole = run_filter(frames, proc, threshold=1.1)
         st = FilterState(procedure=proc, threshold=1.1)
         events = []

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import pytest
 
@@ -66,6 +67,32 @@ class TestEvaluateCommand:
         assert row[0] == "v"
         assert float(row[4]) == 0.5  # f1
         assert float(row[5]) == 2.0  # tau seconds
+
+    def test_optimal_matching_with_scipy(self, tmp_path):
+        pytest.importorskip("scipy")
+        gt = {"v": seq_of([(0, 0), (0, 100)], video_id="v")}
+        pred = {"v": seq_of([(0, 120)], video_id="v")}
+        labels = write_labels(tmp_path / "gt.jsonl", gt)
+        preds = write_labels(tmp_path / "pred.jsonl", pred)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", labels, "--predictions", preds,
+                     "--out", str(out), "--optimal-matching"]) == 0
+        assert json.loads(out.read_text())["aggregate"]["tau_s"] == 2.0
+
+    def test_optimal_matching_without_scipy(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # if imported before
+        gt = {"v": seq_of([(0, 100)], video_id="v")}
+        labels = write_labels(tmp_path / "gt.jsonl", gt)
+        out = tmp_path / "report.json"
+        assert main(["evaluate", "--labels", labels, "--predictions", labels,
+                     "--out", str(out), "--optimal-matching"]) == 2
+        assert capsys.readouterr().err == (
+            "error: optimal matching needs scipy: install psrkit[matching]\n"
+        )
+        assert not out.exists()
+        assert main(["evaluate", "--labels", labels, "--predictions", labels,
+                     "--out", str(out)]) == 0
 
     def test_empty_ground_truth_exit_code(self, tmp_path):
         gt = {"v": seq_of([(0, 100, False)], video_id="v")}
@@ -173,16 +200,8 @@ class TestRecognizeCommand:
         assert report.pos == 1.0 and report.f1 == 1.0
 
     def test_all_zero_streams_empty_predictions(self, tmp_path):
-        from psrkit import ConfidenceFrame
-
-        frames = {
-            "v": [
-                ConfidenceFrame(frame=f, probs=(0.0,) * 34, stream_id="temporal")
-                for f in range(20)
-            ]
-        }
         stream = tmp_path / "temporal.jsonl"
-        fileio.serialize_temporal_stream(frames, stream)
+        fileio.serialize_temporal_stream({"v": constant_stream(34, 0, 0.0, range(20))}, stream)
         out = tmp_path / "pred.jsonl"
         assert main(["recognize", "--streams", str(stream),
                      "--procedure", "toy-motorcycle", "--out", str(out)]) == 0
@@ -288,6 +307,25 @@ class TestRecognizeCommand:
         assert main(["recognize", "--streams", labels,
                      "--procedure", "toy-motorcycle", "--out", str(out)]) == 3
         assert "not a recognized stream schema: 'psrkit/labels'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["state", "temporal"])
+    def test_video_too_long_for_memory(self, tmp_path, capsys, kind):
+        # 10**15 rows of 34 float64 values exceed any address space, so the
+        # allocation fails at once.
+        toy = toy_motorcycle()
+        stream = tmp_path / "stream.jsonl"
+        if kind == "state":
+            det = StateDetection(frame=10**15, state=toy.states[1], confidence=0.9)
+            fileio.serialize_asd_stream({"v": [det]}, stream)
+        else:
+            fileio.serialize_temporal_stream({"v": constant_stream(34, 0, 0.5, [10**15])}, stream)
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: video 'v': 1000000000000001 frames do not fit in memory\n"
+        )
         assert not out.exists()
 
     def test_series_output(self, tmp_path):
@@ -535,6 +573,45 @@ class TestValidateCommand:
         path.write_bytes(header + b'\n{"video_id": "\xff"}\n')
         assert main(["validate", flag, str(path)]) == 3
         assert f"error: {path}:2: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,text,where,message", [
+        ("--labels", '{"schema":"psrkit/labels","version":1}\n{"frame":' + "9" * 5000 + "}",
+         ":2", "Exceeds the limit (4300 digits)"),
+        ("--labels", "[" * 100_000, ":1", "maximum recursion depth exceeded"),
+        ("--streams", '{"schema":"psrkit/temporal-stream","version":1}\n{"frame":0,"probs":'
+         + "[" * 100_000, ":2", "maximum recursion depth exceeded"),
+        ("--streams", '{"schema":"psrkit/temporal-stream","version":1}\n{"frame":0,"probs":'
+         + "[" * 100_000 + '],"video_id":"v"}', ":2", "maximum recursion depth exceeded"),
+        ("--procedure", '{"schema":"psrkit/procedure","version":1,"fps":' + "9" * 5000 + "}",
+         "", "Exceeds the limit (4300 digits)"),
+        ("--procedure", "[" * 100_000, "", "maximum recursion depth exceeded"),
+    ], ids=["labels-long-int", "labels-deep-header", "temporal-deep", "temporal-deep-probs",
+            "procedure-long-int", "procedure-deep"])
+    def test_decoder_limits_are_a_parse_failure(self, tmp_path, capsys, flag, text, where,
+                                                message):
+        path = tmp_path / "file.json"
+        path.write_text(text + "\n")
+        assert main(["validate", flag, str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}{where}: invalid JSON: {message}")
+        assert err.count("\n") == 1
+
+    def test_undecodable_header_is_not_a_stream_schema(self, tmp_path, capsys):
+        path = tmp_path / "file.jsonl"
+        path.write_text("[" * 100_000 + "\n")
+        assert fileio.peek_schema(path) is None
+        assert main(["validate", "--streams", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: {path}: not a recognized stream schema: None\n"
+
+    def test_frame_beyond_int64_is_a_parse_failure(self, tmp_path, capsys):
+        path = tmp_path / "temporal.jsonl"
+        path.write_text('{"schema":"psrkit/temporal-stream","version":1}\n'
+                        '{"frame":99999999999999999999999,"probs":[0.5],"video_id":"v"}\n')
+        assert main(["validate", "--streams", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}:2: frame must be an integer in [0, 2**63), "
+            "got 99999999999999999999999\n"
+        )
 
     def test_temporal_stream(self, tmp_path, capsys):
         stream = tmp_path / "temporal.jsonl"

@@ -16,7 +16,6 @@ from psrkit import (
     KINDS,
     AssemblyState,
     ClipSpec,
-    ConfidenceFrame,
     ConfigError,
     EditWeights,
     EventSequence,
@@ -231,17 +230,10 @@ class TestStreamCodecs:
             fileio.parse_asd_stream(path, toy)
 
     def test_temporal_round_trip(self, tmp_path):
-        frames = {
-            "v0": [
-                ConfidenceFrame(frame=0, probs=(0.25, 0.0), stream_id="temporal"),
-                ConfidenceFrame(frame=1, probs=(0.5, 1.0), stream_id="temporal"),
-            ]
-        }
+        streams = {"v0": ProbStream([0, 1], [[0.25, 0.0], [0.5, 1.0]], "temporal")}
         path = tmp_path / "temporal.jsonl"
-        fileio.serialize_temporal_stream(frames, path)
-        assert fileio.parse_temporal_stream(path, n_steps=2) == {
-            "v0": ProbStream.from_frames(frames["v0"])
-        }
+        fileio.serialize_temporal_stream(streams, path)
+        assert fileio.parse_temporal_stream(path, n_steps=2) == streams
 
     def test_temporal_wrong_length_names_frame(self, tmp_path):
         path = tmp_path / "temporal.jsonl"
@@ -257,19 +249,13 @@ class TestStreamCodecs:
     def test_random_temporal_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         for trial in range(10):
-            frames = {
-                "v": [
-                    ConfidenceFrame(
-                        frame=f, probs=tuple(rng.random(4)), stream_id="temporal"
-                    )
-                    for f in range(int(rng.integers(1, 20)))
-                ]
-            }
+            n_frames = int(rng.integers(1, 20))
+            streams = {"v": ProbStream.dense(
+                [rng.random(4) for _ in range(n_frames)], "temporal"
+            )}
             path = tmp_path / f"t{trial}.jsonl"
-            fileio.serialize_temporal_stream(frames, path)
-            assert fileio.parse_temporal_stream(path, 4) == {
-                "v": ProbStream.from_frames(frames["v"])
-            }
+            fileio.serialize_temporal_stream(streams, path)
+            assert fileio.parse_temporal_stream(path, 4) == streams
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -680,7 +666,8 @@ TABLE_CASES = [
     TableCase("temporal", fileio.TEMPORAL_SCHEMA, fileio._TEMPORAL_FIELDS,
               {"frame": 5, "probs": [0.5, 0.0], "video_id": "v"},
               record_file(fileio.TEMPORAL_SCHEMA), fileio.parse_temporal_stream, 2,
-              {"video_id": NOT_A_STRING, "frame": NOT_A_COUNT, "probs": ("0.5", 0.5, None, {})}),
+              {"video_id": NOT_A_STRING, "frame": NOT_A_COUNT + (2**63,),
+               "probs": ("0.5", 0.5, None, {})}),
     TableCase("procedure", fileio.PROCEDURE_SCHEMA, fileio._PROCEDURE_FIELDS, TOY_DOC,
               procedure_file(), fileio.load_procedure, None,
               {"name": (7, None, ["a"]), "fps": NOT_AN_FPS,

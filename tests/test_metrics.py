@@ -1,3 +1,4 @@
+import importlib.util
 import math
 
 import numpy as np
@@ -181,6 +182,7 @@ class TestMatching:
             assert ledger.tp == max_matching_count(flat_gt, flat_pred)
 
     def test_optimal_flag_same_counts_smaller_delay(self):
+        pytest.importorskip("scipy")
         gt = seq_of([(A, 0), (A, 100)])
         pred = seq_of([(A, 120)])
         greedy = match_predictions(gt, pred)
@@ -254,6 +256,8 @@ class TestF1AndDelay:
 # Small random sequences: a few actions over a short span, so that matches,
 # early predictions, duplicates and incorrect completions all occur.
 events = st.sets(st.tuples(st.integers(0, 3), st.integers(0, 40), st.booleans()), max_size=8)
+# Optimal matching needs scipy (the "matching" extra); greedy matching does not.
+optimal_flags = st.booleans() if importlib.util.find_spec("scipy") else st.just(False)
 
 
 def _unique_seq(triples, fps):
@@ -262,7 +266,7 @@ def _unique_seq(triples, fps):
 
 
 class TestProperties:
-    @given(events, events, st.sampled_from([10.0, 25.0, 29.97]), st.booleans())
+    @given(events, events, st.sampled_from([10.0, 25.0, 29.97]), optimal_flags)
     @settings(max_examples=200, deadline=None)
     def test_scores_in_unit_interval(self, gt_events, pred_events, fps, optimal):
         gt, pred = _unique_seq(gt_events, fps), _unique_seq(pred_events, fps)
@@ -272,7 +276,7 @@ class TestProperties:
             assert 0.0 <= getattr(report, name) <= 1.0, name
         assert report.tau_s is None or report.tau_s >= 0.0
 
-    @given(events, events, st.booleans())
+    @given(events, events, optimal_flags)
     @settings(max_examples=200, deadline=None)
     def test_ledger_partitions_both_event_sets(self, gt_events, pred_events, optimal):
         gt, pred = _unique_seq(gt_events, 10.0), _unique_seq(pred_events, 10.0)

@@ -70,7 +70,7 @@ class TestAsdStreamProbs:
     def test_single_detection(self, toy):
         frames = asd_stream_probs([det(toy, 1, 50)], toy, video_len=60)
         assert len(frames) == 60
-        hot = frames[50].probs
+        hot = frames.probs[50].tolist()
         assert {k for k, p in enumerate(hot) if p > 0} == {0, 4, 8}
         assert all(p == 0.9 for p in (hot[0], hot[4], hot[8]))
         assert all(max(f.probs) == 0.0 for f in frames if f.frame != 50)
@@ -90,9 +90,9 @@ class TestAsdStreamProbs:
         frames = asd_stream_probs(
             [det(toy, 1, 10), det(toy, 1, 11), det(toy, 1, 12)], toy, video_len=20
         )
-        assert max(frames[10].probs) == 0.9
-        assert max(frames[11].probs) == 0.0
-        assert max(frames[12].probs) == 0.0
+        assert max(frames.probs[10]) == 0.9
+        assert max(frames.probs[11]) == 0.0
+        assert max(frames.probs[12]) == 0.0
 
     def test_no_detections(self, toy):
         frames = asd_stream_probs([], toy, video_len=5)
@@ -100,7 +100,7 @@ class TestAsdStreamProbs:
 
     def test_skipped_states_emit_all_diffs(self, toy):
         frames = asd_stream_probs([det(toy, 2, 30)], toy, video_len=40)
-        hot = {k for k, p in enumerate(frames[30].probs) if p > 0}
+        hot = {k for k, p in enumerate(frames.probs[30]) if p > 0}
         assert hot == {0, 1, 4, 5, 8}
 
     def test_confidence_gate(self, toy):
@@ -110,8 +110,8 @@ class TestAsdStreamProbs:
             video_len=30,
             min_confidence=0.5,
         )
-        assert max(frames[10].probs) == 0.0
-        assert max(frames[20].probs) == 0.9
+        assert max(frames.probs[10]) == 0.0
+        assert max(frames.probs[20]) == 0.9
 
     def test_out_of_order_detections(self, toy):
         with pytest.raises(StreamOrderError):
@@ -130,7 +130,7 @@ class TestAsdStreamProbs:
         accepted = toy.states[0]
         for d in dets:
             hot = {
-                k for k, p in enumerate(frames[d.frame].probs) if p > 0
+                k for k, p in enumerate(frames.probs[d.frame]) if p > 0
             }
             changed = {
                 toy.step_index(toy.action_for(c, kind))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from psrkit import INSTALL, EventSequence, StepEvent
+from psrkit import INSTALL, EventSequence, ProbStream, StepEvent
 
 
 def seq_of(pairs, fps=10.0, video_id="v"):
@@ -39,13 +39,9 @@ def random_event_set(rng: np.random.Generator, proc, n_events: int, max_frame: i
     return EventSequence.from_events(events, video_id="rand", fps=proc.fps)
 
 
-def constant_stream(n_steps, step, p, frames, stream_id="temporal"):
-    """Frames carrying probability p at one step index, zero elsewhere."""
-    from psrkit import ConfidenceFrame
-
-    out = []
-    for f in frames:
-        probs = [0.0] * n_steps
-        probs[step] = p
-        out.append(ConfidenceFrame(frame=f, probs=tuple(probs), stream_id=stream_id))
-    return out
+def constant_stream(n_steps, step, p, frames, kind="temporal"):
+    """A stream carrying probability p at one step index on `frames`, zero elsewhere."""
+    frames = list(frames)
+    probs = np.zeros((len(frames), n_steps))
+    probs[:, step] = p
+    return ProbStream(frames, probs, kind)
