@@ -229,7 +229,9 @@ def cmd_recognize(args) -> int:
             dets[-1].frame + 1 if dets else 0,
             int(temp.frames[-1]) + 1 if temp is not None else 0,
         )
-        try:  # dense arrays of video_len rows
+        try:  # dense float64 arrays of video_len rows; numpy refuses past sys.maxsize bytes
+            if video_len * max(proc.n_steps, 1) * 8 > sys.maxsize:
+                raise MemoryError
             stream = _densify(temp, video_len, proc.n_steps) if temporal is not None else None
             if asd is not None:
                 asd_probs = asd_stream_probs(dets, proc, video_len, min_confidence=args.min_confidence)

@@ -114,6 +114,8 @@ def _list_of(item_type: type, what: str) -> tuple:
 
 _VIDEO_ID = ("video_id", *_STRING, _REQUIRED)
 _FRAME = ("frame", *_COUNT, _REQUIRED)
+_STREAM_FRAME = (  # a stream's frame is an int64 index of its dense array
+    "frame", lambda v: type(v) is int and 0 <= v < 2**63, "an integer in [0, 2**63)", _REQUIRED)
 _STATE_ID = ("state_id", *_INTEGER, _REQUIRED)
 _FPS = ("fps", lambda v: type(v) in _NUMBER_TYPES and 0 < v <= _FLOAT_MAX,
         "a finite positive number", _REQUIRED)
@@ -144,12 +146,10 @@ _EVENT_FIELDS = (  # StepEvent's fields in its order, as a labels record holds t
 )
 _EVENT_NAMES = _names(_EVENT_FIELDS)
 _LABEL_FIELDS = (_VIDEO_ID, _FPS, *_EVENT_FIELDS)
-_ASD_FIELDS = (_VIDEO_ID, _FRAME, _STATE_ID, (
+_ASD_FIELDS = (_VIDEO_ID, _STREAM_FRAME, _STATE_ID, (
     "confidence", lambda v: type(v) in _NUMBER_TYPES and 0 <= v <= 1, "a number in [0, 1]", _REQUIRED
 ))
-_TEMPORAL_FIELDS = (_VIDEO_ID, (  # a frame is an int64 in the stream's array
-    "frame", lambda v: type(v) is int and 0 <= v < 2**63, "an integer in [0, 2**63)", _REQUIRED
-), ("probs", lambda v: type(v) is list, "a list", _REQUIRED))
+_TEMPORAL_FIELDS = (_VIDEO_ID, _STREAM_FRAME, ("probs", lambda v: type(v) is list, "a list", _REQUIRED))
 _PROCEDURE_FIELDS = (
     ("name", *_STRING, "procedure"), _FPS,
     ("components", *_list_of(str, "a list of strings"), _REQUIRED),

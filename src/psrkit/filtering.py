@@ -11,6 +11,9 @@ A whole stream is a `ProbStream`: frame indices and one validated `(T, K)`
 array. `filter_stream` runs the filter over such a block; `filter_step`
 advances it by a single `ConfidenceFrame`, for online use. Both share the
 emission code and give bitwise-equal results for any chunking of a stream.
+`filter_stream` spends Python time per evidence row: it decays a run of
+silent rows in bulk, and checks a silent row against the threshold only
+right after an emission that left a crossing held.
 """
 
 from __future__ import annotations
@@ -182,24 +185,23 @@ class FilterState:
         self.last_kind = [None] * self.procedure.n_components
 
 
-def _advance(acc: np.ndarray, evidence: np.ndarray, probs: np.ndarray, decay: float):
-    """Accumulators after a row: evidence adds its probability, the rest decays."""
-    return np.where(evidence, acc + probs, acc * decay)
-
-
 def _emit(state: FilterState, frame: int) -> tuple[list[StepEvent], bool]:
     """Emit every eligible step whose accumulator reached the threshold.
 
     Crossings emit in ascending step index and reset their accumulator, and
     eligibility updates from those emissions apply immediately. Returns the
-    events and whether an ineligible crossing was held back, which is the
-    only way an accumulator stays at or above the threshold.
+    events and whether a crossing is left at or above the threshold: one
+    held back as ineligible, or a reset one under a threshold within
+    EMIT_TOL of zero.
     """
     proc = state.procedure
     acc = state.accumulators
+    floor = state.threshold - EMIT_TOL
+    if acc.max(initial=0.0) < floor:  # accumulators are >= 0; there may be no steps
+        return [], False
     emitted: list[StepEvent] = []
-    held = False
-    for k in np.flatnonzero(acc >= state.threshold - EMIT_TOL).tolist():
+    held = floor <= 0.0
+    for k in np.flatnonzero(acc >= floor).tolist():
         action = proc.actions[k]
         component, kind = proc.effect(action)
         if state.last_kind[component] == kind:
@@ -229,10 +231,9 @@ def filter_step(
         raise StreamOrderError(
             f"frame {frame.frame} arrived after frame {state.last_frame}"
         )
-    probs = np.array(frame.probs)
-    state.accumulators = _advance(
-        state.accumulators, probs > state.evidence_floor, probs, state.decay
-    )
+    probs = np.fromiter(frame.probs, np.float64, state.procedure.n_steps)
+    acc = state.accumulators
+    state.accumulators = np.where(probs > state.evidence_floor, acc + probs, acc * state.decay)
     emitted, _ = _emit(state, frame.frame)
     state.last_frame = frame.frame
     return state, emitted
@@ -243,9 +244,11 @@ def filter_stream(
 ) -> list[StepEvent]:
     """Advance the filter over every row of `stream`, returning the emitted events.
 
-    Bitwise equal to folding `filter_step` over the stream's frames. A row
-    without evidence only decays, in place; the threshold is checked on it
-    only while a held-back crossing may still be over the threshold. With
+    Bitwise equal to folding `filter_step` over the stream's frames. Python
+    work is per evidence row: a run of silent rows decays in bulk, by one
+    sequential `np.multiply.accumulate`, and as a silent row only shrinks
+    accumulators, it is checked only right after an emission that left a
+    crossing held, since that may have made the crossing eligible. With
     `record`, an array of the stream's shape, row t receives the
     accumulators after row t.
     """
@@ -259,23 +262,40 @@ def filter_stream(
     frames = stream.frames.tolist()
     if state.last_frame is not None and frames[0] <= state.last_frame:
         raise StreamOrderError(f"frame {frames[0]} arrived after frame {state.last_frame}")
-    probs = stream.probs
     decay = state.decay
-    evidence = probs > state.evidence_floor
+    evidence = stream.probs > state.evidence_floor
+    rows = np.flatnonzero(evidence.any(axis=1))
+    # x * 1.0 + p == x + p, and x * decay + 0.0 == x * decay as no accumulator is -0.0
+    scale = np.where(evidence[rows], 1.0, decay)
+    add = np.where(evidence[rows], stream.probs[rows], 0.0)
     acc = state.accumulators = np.array(state.accumulators, dtype=np.float64)
     events: list[StepEvent] = []
     hot = True  # a state carried over may hold a crossing
-    for t, has_evidence in enumerate(evidence.any(axis=1).tolist()):
-        if has_evidence:
-            acc = state.accumulators = _advance(acc, evidence[t], probs[t], decay)
-            hot = True
+    bounds = [*rows.tolist(), len(frames)]  # the evidence rows, then the end
+    i = t = 0  # the next evidence row and the next row to advance
+    while t < len(frames):
+        e = bounds[i]
+        if not hot and t < e:  # the rest of a silent run, in bulk
+            run = np.full((e - t + 1, n_steps), decay)
+            run[0] = acc
+            np.multiply.accumulate(run, axis=0, out=run)
+            acc[:] = run[-1]
+            if record is not None:
+                record[t:e] = run[1:]
+            t = e
+            continue
+        if t == e:
+            acc *= scale[i]
+            acc += add[i]
+            i += 1
         else:
-            acc *= decay  # never raises a value, so a cold state stays cold
-        if hot:
-            emitted, hot = _emit(state, frames[t])
-            events.extend(emitted)
+            acc *= decay
+        emitted, held = _emit(state, frames[t])
+        events.extend(emitted)
+        hot = held and bool(emitted)
         if record is not None:
             record[t] = acc
+        t += 1
     state.last_frame = frames[-1]
     return events
 
@@ -315,8 +335,10 @@ def fuse(asd: ConfidenceFrame, temporal: ConfidenceFrame) -> ConfidenceFrame:
             f"length mismatch at frame {asd.frame}: "
             f"{len(asd.probs)} vs {len(temporal.probs)}"
         )
-    fused = [0.5 * a + 0.5 * t for a, t in zip(asd.probs, temporal.probs)]
-    return ConfidenceFrame(frame=asd.frame, probs=fused, stream_id="fused")
+    fused = object.__new__(ConfidenceFrame)  # checked inputs bound their average: no check
+    fused.__dict__.update(frame=asd.frame, stream_id="fused", probs=tuple(
+        [0.5 * a + 0.5 * t for a, t in zip(asd.probs, temporal.probs)]))
+    return fused
 
 
 def fuse_streams(

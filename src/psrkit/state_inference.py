@@ -80,6 +80,7 @@ def asd_stream_probs(
         raise ValueError("min_confidence must be a number, got nan")
     probs = np.zeros((video_len, proc.n_steps))
     accepted: StateDetection | None = None
+    accepted_bits = (0,) * proc.n_components
     last_frame = -1
     for det in detections:
         if det.frame <= last_frame:
@@ -91,12 +92,9 @@ def asd_stream_probs(
             raise StructureError(
                 f"detection frame {det.frame} outside video of length {video_len}"
             )
-        if det.confidence < min_confidence:
-            continue
-        steps = infer_steps(accepted, det, proc)
-        if not steps:
-            continue
-        for action in steps:
+        if det.confidence < min_confidence or det.state.bits == accepted_bits:
+            continue  # gated, or no transition to infer
+        for action in infer_steps(accepted, det, proc):
             probs[det.frame, proc.step_index(action)] = det.confidence
-        accepted = det
+        accepted, accepted_bits = det, det.state.bits
     return ProbStream.dense(probs, "asd")

@@ -42,6 +42,34 @@ def filter_fold(proc, frames, rows, threshold, decay=0.75, evidence_floor=0.0):
     return events, history, last_kind, last_frame
 
 
+def naive_asd_probs(detections, proc, video_len, min_confidence=0.0):
+    """State-stream probabilities with a transition inferred on every detection.
+
+    `asd_stream_probs` skips a detection that repeats the accepted state;
+    this calls `infer_steps` on each one that passes the confidence gate.
+    Returns a (video_len, n_steps) array.
+    """
+    from psrkit.errors import StreamOrderError, StructureError
+    from psrkit.state_inference import infer_steps
+
+    probs = np.zeros((video_len, proc.n_steps))
+    accepted, last_frame = None, -1
+    for det in detections:
+        if det.frame <= last_frame:
+            raise StreamOrderError(f"detection at frame {det.frame} arrived after frame {last_frame}")
+        last_frame = det.frame
+        if det.frame >= video_len:
+            raise StructureError(f"detection frame {det.frame} outside video of length {video_len}")
+        if det.confidence < min_confidence:
+            continue
+        steps = infer_steps(accepted, det, proc)
+        for action in steps:
+            probs[det.frame, proc.step_index(action)] = det.confidence
+        if steps:
+            accepted = det
+    return probs
+
+
 def brute_edit_distance(a, b, ins=1.0, delete=1.0, sub=1.0, trans=1.0):
     """Cheapest op sequence turning `a` into `b`, by uniform-cost search.
 

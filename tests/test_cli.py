@@ -328,6 +328,39 @@ class TestRecognizeCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["state", "temporal"])
+    def test_video_past_numpy_size_limit(self, tmp_path, capsys, kind):
+        # 2**62 rows of 34 float64 values pass numpy's byte limit, where
+        # numpy raises a ValueError of its own; nothing is allocated.
+        toy = toy_motorcycle()
+        stream = tmp_path / "stream.jsonl"
+        if kind == "state":
+            det = StateDetection(frame=2**62, state=toy.states[1], confidence=0.9)
+            fileio.serialize_asd_stream({"v": [det]}, stream)
+        else:
+            fileio.serialize_temporal_stream({"v": constant_stream(34, 0, 0.5, [2**62])}, stream)
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: video 'v': {2**62 + 1} frames do not fit in memory\n"
+        )
+        assert not out.exists()
+
+    def test_state_frame_beyond_int64_is_a_parse_failure(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        stream = tmp_path / "asd.jsonl"
+        det = StateDetection(frame=2**70, state=toy.states[1], confidence=0.9)
+        fileio.serialize_asd_stream({"v": [det]}, stream)
+        expected = f"error: {stream}:2: frame must be an integer in [0, 2**63), got {2**70}\n"
+        assert main(["validate", "--streams", str(stream), "--procedure", "toy-motorcycle"]) == 3
+        assert capsys.readouterr().err == expected
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
     def test_series_output(self, tmp_path):
         toy = toy_motorcycle()
         dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}

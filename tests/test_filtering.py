@@ -265,6 +265,52 @@ class TestFilterStream:
         events = check_against_fold([0, 1, 2, 3], rows, 0.5, 0.75, 0.0)
         assert [(e.action, e.frame) for e in events] == [(0, 0), (3, 2), (0, 3)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_long_silent_runs_equal_frame_fold(self, data):
+        """Evidence rows between silent runs of 0 to 300 rows, in any chunking.
+
+        A silent row is all zero or, under an evidence floor, below it. One
+        kind of evidence segment holds a crossing and releases it with an
+        opposite emission on the row just before the run that follows.
+        """
+        floor = data.draw(st.sampled_from([0.0, 0.25]))
+        quiet = st.just([0.0] * 6)
+        if floor:
+            quiet |= st.lists(st.floats(0.0, floor), min_size=6, max_size=6)
+        value = st.just(0.0) | st.just(1.0) | st.floats(0.0, 1.0)
+        released = [[1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 0, 0, 0], [1.0, 0, 0, 1.0, 0, 0]]
+        rows = []
+        for _ in range(data.draw(st.integers(0, 5))):
+            rows.extend(data.draw(quiet) for _ in range(data.draw(st.integers(0, 300))))
+            if data.draw(st.booleans()):
+                rows.extend(released)
+            else:
+                rows.append(data.draw(st.lists(value, min_size=6, max_size=6)))
+        rows.extend(data.draw(quiet) for _ in range(data.draw(st.integers(0, 300))))
+        frames = (data.draw(st.integers(0, 5)) + np.arange(len(rows))).tolist()
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(frames)), max_size=4))))
+        check_against_fold(
+            frames,
+            rows,
+            threshold=data.draw(st.sampled_from([0.5, 1e-10]) | st.floats(0.05, 3.0)),
+            decay=data.draw(st.just(1.0) | st.just(0.75) | st.floats(0.05, 1.0)),
+            floor=floor,
+            cuts=cuts,
+            per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
+                                         max_size=len(cuts) + 1)),
+        )
+
+    def test_threshold_within_tolerance_of_zero(self):
+        # Under a threshold of 1e-10 every accumulator crosses, a reset one
+        # too, so each install and then each remove emits on every row, on
+        # the silent ones as well.
+        rows = [[1.0, 0, 0, 0, 0, 0]] + [[0.0] * 6] * 3
+        events = check_against_fold([0, 1, 2, 3], rows, 1e-10, 0.75, 0.0)
+        assert [(e.action, e.frame) for e in events] == [
+            (k, f) for f in range(4) for k in range(6)
+        ]
+
     def test_continues_a_stepped_state(self, quad):
         state = FilterState(procedure=quad, threshold=1.0)
         filter_step(state, ConfidenceFrame(0, (0.6, 0.0, 0.0, 0.0)))
@@ -414,6 +460,21 @@ class TestFuse:
         by_frame = [fuse(x, y).probs for x, y in zip(a, b)]
         assert fused.probs.tobytes() == np.array(by_frame).tobytes()
         assert fuse_streams(b, a).probs.tobytes() == fused.probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fused_frame_equals_the_checked_one(self, data):
+        n_steps = data.draw(st.integers(0, 6))
+        value = st.sampled_from([0.0, -0.0, 1.0, 5e-324, 0, 1]) | st.floats(0.0, 1.0)
+        probs = st.lists(value, min_size=n_steps, max_size=n_steps)
+        a = ConfidenceFrame(4, data.draw(probs), "asd")
+        b = ConfidenceFrame(4, data.draw(probs), "temporal")
+        fused = fuse(a, b)
+        checked = ConfidenceFrame(a.frame, [0.5 * x + 0.5 * y for x, y in zip(a.probs, b.probs)],
+                                  "fused")
+        assert fused == checked and type(fused.probs) is tuple
+        assert all(type(p) is float for p in fused.probs)
+        assert np.array(fused.probs).tobytes() == np.array(checked.probs).tobytes()
 
     def test_frame_mismatch(self):
         a = ConfidenceFrame(frame=0, probs=(0.1,), stream_id="asd")

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrkit import (
     AssemblyState,
     INSTALL,
+    Procedure,
     REMOVE,
     StateDetection,
     StreamOrderError,
@@ -14,6 +17,23 @@ from psrkit import (
     nominal_events,
     run_filter,
     state_diff,
+)
+
+from oracles import naive_asd_probs
+
+# Install and remove of components a, b, c; without action 5, removing c
+# is an unknown transition.
+TOGGLE3 = Procedure(
+    components=("a", "b", "c"),
+    actions=tuple(range(6)),
+    action_effects={i: (i % 3, INSTALL if i < 3 else REMOVE) for i in range(6)},
+    fps=10,
+)
+NO_REMOVE_C = Procedure(
+    components=("a", "b", "c"),
+    actions=tuple(range(5)),
+    action_effects={i: (i % 3, INSTALL if i < 3 else REMOVE) for i in range(5)},
+    fps=10,
 )
 
 
@@ -139,6 +159,38 @@ class TestAsdStreamProbs:
             assert hot == changed
             if changed:
                 accepted = d.state
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_skipping_repeated_states_matches_inferring_every_detection(self, data):
+        """Repeats, flicker back to an earlier state, the confidence gate and
+        an unknown transition give what `infer_steps` on every detection gives."""
+        bits = st.tuples(*[st.integers(0, 1)] * 3)
+        seen, dets, frame = [], [], -1
+        for _ in range(data.draw(st.integers(0, 25))):
+            frame += data.draw(st.integers(1, 3))
+            if seen and data.draw(st.booleans()):  # a repeat or a flicker back
+                state = data.draw(st.sampled_from(seen))
+            else:
+                state = data.draw(bits)
+                seen.append(state)
+            confidence = data.draw(st.sampled_from([0.2, 0.5, 0.9, 1.0]))
+            dets.append(StateDetection(frame, AssemblyState(state), confidence))
+        video_len = frame + data.draw(st.integers(0, 4))  # may cut off the last one
+        min_confidence = data.draw(st.sampled_from([0.0, 0.5, 0.95]))
+        proc = data.draw(st.sampled_from([TOGGLE3, NO_REMOVE_C]))
+        if video_len <= 0:
+            return
+        try:
+            expected = naive_asd_probs(dets, proc, video_len, min_confidence)
+        except Exception as e:
+            with pytest.raises(type(e)) as got:
+                asd_stream_probs(dets, proc, video_len, min_confidence)
+            assert str(got.value) == str(e)
+            return
+        stream = asd_stream_probs(dets, proc, video_len, min_confidence)
+        assert stream.probs.tobytes() == expected.tobytes()
 
 
 class TestGoldenPipeline:
