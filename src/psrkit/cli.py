@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import math
 import os
@@ -131,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("validate", help="check files against their schemas")
-    p.add_argument("--labels", nargs="*", default=[], help="label files to validate")
-    p.add_argument("--streams", nargs="*", default=[], help="stream files to validate")
+    p.add_argument("--labels", nargs="*", default=(), help="label files to validate")
+    p.add_argument("--streams", nargs="*", default=(), help="stream files to validate")
     p.add_argument("--procedure", help="procedure name or file for cross-checks")
     p.set_defaults(func=cmd_validate)
 
@@ -360,9 +361,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
+_parser = functools.cache(build_parser)  # one parser per process, built on first use
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     level = os.environ.get("PSR_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     try:

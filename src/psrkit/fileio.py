@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import logging
 import re
 import sys
 from array import array
-from operator import attrgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
@@ -58,7 +60,7 @@ canonical_dumps: Callable[[Any], str] = json.JSONEncoder(
 
 
 def write_json(path: str | Path, obj: Any) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _read_text(path: str | Path) -> str:
@@ -197,7 +199,7 @@ def write_jsonl(
         header.update(header_extra)
     lines = [canonical_dumps(header)]
     lines.extend(canonical_dumps(r) for r in records)
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def peek_schema(path: str | Path) -> str | None:
@@ -219,21 +221,14 @@ def _collect(
     parse_one: Callable[[dict, int], Any],
     strict: bool,
     header_spec: tuple = (),
-    fast: Callable[[str, int], Any] = lambda line, lineno: None,
 ) -> tuple[list, list]:
     """The header's `header_spec` values and `parse_one(record, line number)`
     of each later record, in one pass over a JSONL file. An empty file yields
-    no records, and its header fields their defaults. A later line for which
-    `fast(line, line number)` is not None takes that value unparsed."""
+    no records, and its header fields their defaults."""
     spath = str(path)
     header = None
     out = []
     for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
-        if header is not None:
-            row = fast(line, lineno)
-            if row is not None:
-                out.append(row)
-                continue
         if not line.strip():
             continue
         rec = _decode(line, spath, lineno)
@@ -397,27 +392,40 @@ def parse_stream(
     raise SchemaError(f"not a recognized stream schema: {schema!r}", str(path))
 
 
+_TEMPORAL_HEADER = canonical_dumps({"schema": TEMPORAL_SCHEMA, "version": VERSION})
+_EVIDENCE_BLOCK = 256  # rows whose cells are held as Python objects at once, written or read
+_ZERO_CELL = np.array("0.0", dtype=object)  # fills as an object; a str fill is cast cell by cell
+
+
 def serialize_temporal_stream(streams: Mapping[str, ProbStream], path: str | Path) -> None:
-    """The canonical records, written as text, floats as the JSON encoder does."""
-    lines = [canonical_dumps({"schema": TEMPORAL_SCHEMA, "version": VERSION})]
-    for video_id in sorted(streams):
-        stream = streams[video_id]
-        probs = stream.probs  # a row of +0.0 only is one shared text
-        rows = np.full(len(stream), ",".join(["0.0"] * probs.shape[1]), dtype=object)
-        evidence = np.flatnonzero(((probs != 0.0) | np.signbit(probs)).any(axis=1))
-        rows[evidence] = [",".join(map(float.__repr__, row)) for row in probs[evidence].tolist()]
-        tail = '],"video_id":' + canonical_dumps(video_id) + "}"
-        lines.extend(f'{{"frame":{frame},"probs":[{row}{tail}'
-                     for frame, row in zip(stream.frames.tolist(), rows.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """The canonical records, written as text, floats as the JSON encoder does.
+    A +0.0 cell is the literal `0.0`, `float.__repr__(0.0)`: only the other
+    cells of an evidence row are formatted, a block of rows at a time."""
+    video_ids = sorted(streams)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_TEMPORAL_HEADER + "\n")
+        for video_id in video_ids:
+            stream = streams[video_id]
+            probs = stream.probs
+            live = (probs != 0.0) | np.signbit(probs)
+            evidence = np.flatnonzero(live.any(axis=1))
+            rows = np.full(len(stream), np.array(",".join(["0.0"] * probs.shape[1]), dtype=object))
+            for start in range(0, len(evidence), _EVIDENCE_BLOCK):
+                block = evidence[start:start + _EVIDENCE_BLOCK]
+                cells = np.full((len(block), probs.shape[1]), _ZERO_CELL)
+                cells[live[block]] = list(map(float.__repr__, probs[block][live[block]].tolist()))
+                rows[block] = list(map(",".join, cells.tolist()))
+            tail = '],"video_id":' + canonical_dumps(video_id) + "}\n"
+            fh.write("".join([f'{{"frame":{frame},"probs":[{row}{tail}'
+                              for frame, row in zip(stream.frames.tolist(), rows.tolist())]))
 
 
-# A temporal record in the canonical layout, with a frame that fits an int64
-# and a video id without escapes; other lines are read as JSON objects.
-_scan_json = json.JSONDecoder().scan_once  # (the JSON value at an index, its end)
-_TEMPORAL_LINE = re.compile(
-    r'\{"frame":(0|[1-9][0-9]{0,17}),"probs":(\[[^\]]*\]),"video_id":"([^"\\\x00-\x1f]*)"\}'
-)
+# A temporal record in the writer's layout is `{"frame":` and a frame that
+# fits an int64, `_PROBS_START`, the `probs` text, and a tail: `_PROBS_END`
+# and a video id that needs no escapes.
+_PROBS_START, _PROBS_END = ',"probs":[', '],"video_id":'
+_HEADS = re.compile(r'\n\{"frame":(0|[1-9][0-9]{0,17}),"probs":\[')
+_TAIL = re.compile(r'\],"video_id":"([^"\\\x00-\x1f]*)"\}')
 
 
 def _unit_numbers(probs: list) -> bool:
@@ -426,83 +434,107 @@ def _unit_numbers(probs: list) -> bool:
     return types <= _NUMBER_TYPES and (int not in types or in_unit_interval(probs))
 
 
+def _writer_layout_rows(text: str, n_steps: int | None) -> tuple[dict, dict] | None:
+    """The distinct rows of a file in the writer's layout, by width, and per
+    video its (width, line numbers, frames, row indices), read in whole-file
+    passes. Each distinct `probs` text is decoded once, a block of texts per
+    JSON parse. None if a line is in another layout or holds other than
+    floats, or if the rows differ in width: `_collect` then reads the file
+    record by record and names each error where it is found."""
+    lines = text.splitlines()
+    frames = _HEADS.findall(text)  # at most one per line after the first, each at its start
+    if lines[:1] != [_TEMPORAL_HEADER] or len(frames) != len(lines) - 1:
+        return None
+    del text  # about one copy of the file at a time: its lines, then their rests
+    rests = list(map(itemgetter(2), map(str.partition, lines[1:], repeat(_PROBS_START))))
+    del lines
+    key_of = {rest: key for key, rest in enumerate(dict.fromkeys(rests))}
+    split = [rest.rpartition(_PROBS_END) for rest in key_of]
+    distinct = list(dict.fromkeys(probs_text for probs_text, _, _ in split))
+    tails = [_TAIL.fullmatch(end + tail) for _, end, tail in split]
+    widths = set(map(str.count, distinct, repeat(",")))
+    if None in tails or len(widths) != 1 or n_steps not in (None, widths.pop() + 1):
+        return None
+    flat = array("d")
+    for start in range(0, len(distinct), _EVIDENCE_BLOCK):
+        try:  # floats only, so each text holds one more value than it has commas
+            values = json.loads(f"[{','.join(distinct[start:start + _EVIDENCE_BLOCK])}]")
+        except (ValueError, RecursionError):
+            return None
+        if set(map(type, values)) != {float}:
+            return None
+        flat.extend(values)
+    width = len(flat) // len(distinct)
+    row_of = {probs_text: row for row, probs_text in enumerate(distinct)}
+    code_of = {video_id: code for code, video_id in enumerate(dict.fromkeys(m[1] for m in tails))}
+    keys = np.fromiter(map(key_of.__getitem__, rests), np.intp, len(rests))
+    rows = np.array([row_of[probs_text] for probs_text, _, _ in split])[keys]
+    codes = np.array([code_of[m[1]] for m in tails])[keys]
+    frames = np.fromiter(map(int, frames), np.int64, len(frames))
+    at = {video_id: np.flatnonzero(codes == code) for video_id, code in code_of.items()}
+    return ({width: np.frombuffer(flat).reshape(len(distinct), width)},
+            {video_id: (width, i + 2, frames[i], rows[i]) for video_id, i in at.items()})
+
+
 def parse_temporal_stream(
     path: str | Path,
     n_steps: int | None = None,
     strict: bool = True,
 ) -> dict[str, ProbStream]:
     """One "temporal" stream per video. Every row of a video has the same
-    length: `n_steps` if given, else that of the video's first row. A line in
-    the writer's layout is read by its `probs` text, decoded once per file."""
+    length: `n_steps` if given, else that of the video's first row. A file in
+    the writer's layout is read in whole-file passes; any other file record
+    by record."""
     spath = str(path)
-    width_of: dict[str, int] = {}
-    tables: dict[int, list] = {}  # width -> [its distinct rows end to end, their count]
-    row_of: dict[str, tuple | bool] = {}  # probs text -> (width, row index), False if refused
+    read = _writer_layout_rows(_read_text(path), n_steps)
+    if read is None:
+        width_of: dict[str, int] = {}
+        tables: dict[int, list] = {}  # width -> [its rows end to end, their count]
 
-    def add(probs: list) -> tuple[int, int]:
-        table = tables.setdefault(len(probs), [array("d"), 0])
-        table[0].extend(probs)
-        table[1] += 1
-        return len(probs), table[1] - 1
+        def parse_one(rec: dict, lineno: int):
+            video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
+            width = width_of.setdefault(video_id, len(probs) if n_steps is None else n_steps)
+            if len(probs) != width:
+                raise SchemaError(
+                    f"frame {frame}: probs has length {len(probs)}, expected {width}",
+                    spath,
+                    lineno,
+                )
+            if not _unit_numbers(probs):
+                raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
+            table = tables.setdefault(width, [array("d"), 0])
+            table[0].extend(probs)
+            table[1] += 1
+            return video_id, (lineno, frame, table[1] - 1)
 
-    def fast(line: str, lineno: int):
-        match = _TEMPORAL_LINE.fullmatch(line)
-        if match is None:
-            return None
-        frame, text, video_id = match.groups()
-        row = row_of.get(text)
-        if row is None:
-            # text holds one "]", its last character, so the list is all of it
-            probs = _decode(text, spath, lineno, lambda text: _scan_json(text, 0)[0])
-            row = row_of[text] = _unit_numbers(probs) and add(probs)
-        if not row:
-            return None
-        width, index = row
-        if width_of.setdefault(video_id, width if n_steps is None else n_steps) != width:
-            return None  # parse_one names the line
-        return video_id, (lineno, int(frame), index)
-
-    def parse_one(rec: dict, lineno: int):
-        video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
-        width = width_of.setdefault(video_id, len(probs) if n_steps is None else n_steps)
-        if len(probs) != width:
-            raise SchemaError(
-                f"frame {frame}: probs has length {len(probs)}, expected {width}",
-                spath,
-                lineno,
-            )
-        if not _unit_numbers(probs):
-            raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
-        return video_id, (lineno, frame, add(probs)[1])
-
-    _, records = _collect(path, TEMPORAL_SCHEMA, parse_one, strict, fast=fast)
-    distinct = {width: np.frombuffer(flat).reshape(n, width) for width, (flat, n) in tables.items()}
-    by_video: dict[str, list] = {}
-    for video_id, record in records:
-        by_video.setdefault(video_id, []).append(record)
+        grouped: dict[str, list] = {}
+        for video_id, record in _collect(path, TEMPORAL_SCHEMA, parse_one, strict)[1]:
+            grouped.setdefault(video_id, []).append(record)
+        read = ({width: np.frombuffer(flat).reshape(n, width) for width, (flat, n) in tables.items()},
+                {video_id: (width_of[video_id], *map(np.array, zip(*records)))
+                 for video_id, records in grouped.items()})
+    tables, by_video = read
+    in_range = {width: ((rows >= 0.0) & (rows <= 1.0)).all(axis=1) for width, rows in tables.items()}
     out = {}
-    for video_id, video_rows in by_video.items():
-        lines, frames, index = zip(*video_rows)
-        probs = distinct[width_of[video_id]][list(index)]
-        keep = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
+    for video_id, (width, lines, frames, rows) in by_video.items():
+        keep = in_range[width][rows]
         for t in np.flatnonzero(~keep).tolist():
-            err = SchemaError(f"frame {frames[t]}: probabilities outside [0, 1]", spath, lines[t])
+            err = SchemaError(f"frame {frames[t]}: probabilities outside [0, 1]", spath, int(lines[t]))
             if strict:
                 raise err
             log.warning("skipping bad record: %s", err)
         if not keep.any():
             continue  # every row of this video was skipped
-        lines = [line for line, ok in zip(lines, keep.tolist()) if ok]
-        frames = np.array(frames, dtype=np.int64)[keep]
+        lines, frames, rows = lines[keep], frames[keep], rows[keep]
         late = np.flatnonzero(frames[1:] <= frames[:-1]) + 1
         if late.size:
             t = late[0]
             raise SchemaError(
                 f"video {video_id!r}: frame {frames[t]} not after frame {frames[t - 1]}",
                 spath,
-                lines[t],
+                int(lines[t]),
             )
-        out[video_id] = ProbStream(frames, probs[keep], "temporal")
+        out[video_id] = ProbStream(frames, tables[width][rows], "temporal")
     return out
 
 
@@ -510,8 +542,8 @@ def parse_temporal_stream(
 # procedures
 
 
-BUILTIN_PROCEDURES: dict[str, Callable[[], Procedure]] = {
-    "toy-motorcycle": toy_motorcycle,
+BUILTIN_PROCEDURES: dict[str, Callable[[], Procedure]] = {  # each built once: procedures are immutable
+    "toy-motorcycle": functools.cache(toy_motorcycle),
 }
 
 
@@ -594,7 +626,7 @@ def write_metrics_csv(
 ) -> None:
     """One row per video, then an ALL row; an undefined delay is an empty cell."""
     rows = [(vid, per_video[vid]) for vid in sorted(per_video)] + [("ALL", summary)]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("video_id",) + _METRICS_COLUMNS)
         for name, scores in rows:
@@ -604,7 +636,7 @@ def write_metrics_csv(
 
 def write_series_csv(rows: Iterable[tuple], path: str | Path) -> None:
     """Per-step confidence and accumulator values over time, for plotting."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["video_id", "frame", "step", "action", "prob", "accumulator"])
         writer.writerows(rows)
@@ -767,6 +799,9 @@ def load_prob_batch(path: str | Path) -> ProbBatch:
 # simulator config
 
 
+_type_hints = functools.cache(get_type_hints)  # a dataclass's string annotations, compiled once
+
+
 def _from_json(cls, doc, section: str = "", **defaults):
     """An instance of dataclass `cls` read from a JSON object.
 
@@ -784,7 +819,7 @@ def _from_json(cls, doc, section: str = "", **defaults):
     for key in doc:
         if key not in names:
             raise ConfigError(prefix + key, "is not a recognized config field")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for f in fields:
         where = prefix + f.name

@@ -1,10 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import shutil
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import psrkit
 from psrkit import fileio
 from psrkit.cli import main
 from psrkit import (
@@ -37,6 +42,23 @@ def sim_config_doc(seed=7, n_videos=1):
         "occlusion": {"p_occlude": 0.1, "p_reveal": 0.05},
         "temporal": {"hit_prob": 0.9, "fp_rate": 0.0005},
     }
+
+
+SRC = str(Path(psrkit.__file__).resolve().parents[1])
+
+
+def run_alone(argv, cwd, **env):
+    """`psrkit argv` in a fresh interpreter: (exit code, stdout, stderr)."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "psrkit.cli", *argv], cwd=cwd, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": SRC, **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def written(directory):
+    return {str(p.relative_to(directory)): p.read_bytes()
+            for p in sorted(Path(directory).rglob("*")) if p.is_file()}
 
 
 class TestEvaluateCommand:
@@ -657,3 +679,87 @@ class TestValidateCommand:
         assert main(["validate", "--streams", str(narrow)]) == 0
         assert main(["validate", "--streams", str(narrow),
                      "--procedure", "toy-motorcycle"]) == 3
+
+
+class TestOneProcess:
+    def test_calls_in_one_process_match_calls_run_alone(self, tmp_path, capsys, monkeypatch):
+        """`main` reuses one parser: validate with and then without --labels,
+        recognize with and then without --series-out, and a usage error in
+        between each write the files and stdout, and exit with the code, of
+        the same command run alone."""
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        (inputs / "config.json").write_text(json.dumps(sim_config_doc(seed=11)))
+        monkeypatch.chdir(inputs)
+        assert main(["simulate", "--config", "config.json", "--out", "sim"]) == 0
+        capsys.readouterr()
+        streams = ["sim/asd_stream.jsonl", "sim/temporal_stream.jsonl"]
+        recognize = ["recognize", "--streams", *streams, "--procedure", "toy-motorcycle",
+                     "--fuse", "--threshold", "0.4", "--out", "pred.jsonl"]
+        argvs = [
+            ["validate", "--labels", "sim/gt_labels.jsonl", "--streams", *streams,
+             "--procedure", "toy-motorcycle"],
+            ["validate", "--streams", streams[1]],
+            [*recognize, "--series-out", "series.csv"],
+            ["evaluate", "--labels", "sim/gt_labels.jsonl"],
+            recognize,
+            ["validate", "--procedure", "toy-motorcycle"],
+        ]
+        codes = []
+        for i, argv in enumerate(argvs):
+            here, alone = tmp_path / f"here{i}", tmp_path / f"alone{i}"
+            for directory in (here, alone):
+                shutil.copytree(inputs, directory)
+            monkeypatch.chdir(here)
+            try:
+                code = main(argv)
+            except SystemExit as e:
+                code = e.code
+            out = capsys.readouterr().out
+            assert (code, out) == run_alone(argv, alone)[:2], argv
+            assert written(here) == written(alone), argv
+            codes.append(code)
+        assert codes == [0, 0, 0, 2, 0, 0]
+
+    def test_no_parser_is_built_at_import(self):
+        """Importing psrkit.cli builds no argparse parser; the first `main`
+        builds one and later calls build none."""
+        script = """if True:
+            import argparse, json
+            built = []
+            init = argparse.ArgumentParser.__init__
+            def counting(self, *args, **kwargs):
+                built.append(1)
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counting
+            import psrkit.cli
+            counts = [len(built)]
+            for _ in range(2):
+                psrkit.cli.main(["validate"])
+                counts.append(len(built))
+            print(json.dumps(counts))
+        """
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": SRC}, check=True)
+        before, first, second = json.loads(proc.stdout)
+        assert before == 0 and first > 0 and second == first
+
+
+class TestTextEncoding:
+    def test_csv_files_are_utf8_under_an_ascii_locale(self, tmp_path):
+        """Under the C locale, with UTF-8 mode off, evaluate and recognize
+        --series-out write a non-ASCII video id to their CSV files as UTF-8."""
+        gt = {"vidé": seq_of([(0, 100), (1, 200)], video_id="vidé")}
+        write_labels(tmp_path / "gt.jsonl", gt)
+        stream = {"vidé": constant_stream(34, 0, 0.6, range(100, 104))}
+        fileio.serialize_temporal_stream(stream, tmp_path / "temporal.jsonl")
+        ascii_locale = {"PYTHONUTF8": "0", "LC_ALL": "C"}
+        assert run_alone(["evaluate", "--labels", "gt.jsonl", "--predictions", "gt.jsonl",
+                          "--out", "report.json"], tmp_path, **ascii_locale)[0] == 0
+        assert (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[1].startswith(
+            "vidé,1.0,")
+        assert run_alone(["recognize", "--streams", "temporal.jsonl", "--procedure",
+                          "toy-motorcycle", "--out", "pred.jsonl", "--series-out", "series.csv"],
+                         tmp_path, **ascii_locale)[0] == 0
+        rows = (tmp_path / "series.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) > 1 and all(row.startswith("vidé,") for row in rows[1:])

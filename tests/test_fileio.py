@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import string
 import typing
 from itertools import accumulate
 from pathlib import Path
@@ -153,13 +154,13 @@ EDGE_PROBS = (-0.0, 0.0, 5e-324, 1 / 3, 1.0)
 LINE_STYLES = ("canonical", "spaced", "reordered", "integers", "escaped")
 
 
-def draw_temporal_streams(data):
+def draw_temporal_streams(data, video_ids=st.text(min_size=1, max_size=6), widths=st.integers(0, 5)):
     """Up to 3 temporal streams with gappy frames and rows of up to 5 steps."""
     streams = {}
-    for video_id in data.draw(st.sets(st.text(min_size=1, max_size=6), min_size=1, max_size=3)):
+    for video_id in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
         gaps = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=12))
         frames = list(accumulate(gaps, initial=data.draw(st.integers(0, 10**9))))[:-1]
-        width = data.draw(st.integers(0, 5))
+        width = data.draw(widths)
         value = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBS))
         row = st.lists(value, min_size=width, max_size=width)
         probs = [data.draw(row) for _ in frames]
@@ -189,6 +190,30 @@ def reencode(rec, style):
         probs = probs.replace(",", ", ")
         return f'{{ "frame": {rec["frame"]}, "probs": {probs}, "video_id": {video_id} }}'
     return f'{{"frame":{rec["frame"]},"probs":{probs},"video_id":{video_id}}}'
+
+
+def _edit_cells(line, edit):
+    """A canonical temporal line whose `probs` cell texts are `edit(cells)`."""
+    head, _, rest = line.partition('"probs":[')
+    cells, _, tail = rest.partition("]")
+    return f'{head}"probs":[{",".join(edit(cells.split(",") if cells else []))}]{tail}'
+
+
+# One line's corruptions, as the lines that replace it: a bad probability in
+# the first cell, a wrong width, a frame that is not an integer, a repeated
+# frame, broken JSON, a blank line before it, or a layout other than the
+# writer's.
+CORRUPTIONS = {
+    **{f"first cell {token}": lambda line, token=token: [_edit_cells(line, lambda c: [token, *c[1:]])]
+       for token in ("1.5", "NaN", "true", "1e999")},
+    "wider": lambda line: [_edit_cells(line, lambda c: [*c, "0.5"])],
+    "narrower": lambda line: [_edit_cells(line, lambda c: c[:-1])],
+    "float frame": lambda line: [line.replace(',"probs"', '.0,"probs"', 1)],
+    "repeated frame": lambda line: [line, line],
+    "broken JSON": lambda line: [line[:-1]],
+    "blank line": lambda line: ["", line],
+    "spaced": lambda line: [reencode(json.loads(line), "spaced")],
+}
 
 
 class TestStreamCodecs:
@@ -289,6 +314,70 @@ class TestStreamCodecs:
         lines = [reencode(json.loads(line), data.draw(st.sampled_from(styles))) for line in lines]
         path.write_text("\n".join([header, *lines]) + "\n")
         assert fileio.parse_temporal_stream(path) == streams
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_bad_line_reads_as_every_line_re_encoded(self, tmp_path, caplog, kind, data):
+        """A canonical file with one corrupted line gives what the same file
+        gives with every line re-encoded, and so read record by record: in
+        strict mode the same error text, naming the same file and line; in
+        lenient mode the same streams and warnings. The videos share a width
+        and their ids seldom need escapes, so that most uncorrupted files are
+        read in whole-file passes."""
+        ids = st.text(string.ascii_letters + '_-"\\é', min_size=1, max_size=6)
+        streams = draw_temporal_streams(data, ids, st.just(data.draw(st.integers(1, 5))))
+        path = tmp_path / "t.jsonl"
+        fileio.serialize_temporal_stream(streams, path)
+        header, *lines = path.read_text().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = CORRUPTIONS[kind](lines[i])
+        styles = [style for style in LINE_STYLES if style != "canonical"]
+
+        def re_encoded(line):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                return line  # broken or blank: the same text in both files
+            if set(map(type, rec["probs"])) - {float}:
+                return reencode(rec, "reordered")  # "integers" would make true a 1
+            return reencode(rec, data.draw(st.sampled_from(styles)))
+
+        outcomes = []
+        for text_lines in (lines, list(map(re_encoded, lines))):
+            path.write_text("\n".join([header, *text_lines]) + "\n")
+            for strict in (True, False):
+                caplog.clear()
+                try:
+                    result = fileio.parse_temporal_stream(path, strict=strict)
+                except SchemaError as e:
+                    result = str(e)
+                outcomes.append((result, [r.getMessage() for r in caplog.records]))
+        assert outcomes[:2] == outcomes[2:]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_long_streams_are_written_in_blocks(self, tmp_path, seed):
+        """Hundreds of mostly all-zero rows, more evidence rows than one writer
+        block, and EDGE_PROBS cells: the writer's bytes are the oracle's, and
+        they read back as the streams."""
+        rng = np.random.default_rng(seed)
+        streams = {}
+        for video_id, n_rows, evidence_share in (
+            ("sparse", 700, 0.1), ("dense", 2 * fileio._EVIDENCE_BLOCK + 37, 1.0), ("half", 900, 0.5)
+        ):
+            evidence = (rng.random(n_rows) < evidence_share)[:, None]
+            probs = np.where(evidence & (rng.random((n_rows, 34)) < 0.3), rng.random((n_rows, 34)), 0.0)
+            edge = evidence & (rng.random(probs.shape) < 0.1)
+            probs[edge] = rng.choice(EDGE_PROBS, edge.sum())
+            frames = np.cumsum(rng.integers(1, 4, n_rows))
+            streams[video_id] = ProbStream(frames, probs, "temporal")
+        live = (streams["dense"].probs != 0.0) | np.signbit(streams["dense"].probs)
+        assert live.any(axis=1).sum() > fileio._EVIDENCE_BLOCK
+        path = tmp_path / "t.jsonl"
+        fileio.serialize_temporal_stream(streams, path)
+        assert path.read_bytes() == temporal_stream_text(streams).encode()
+        assert fileio.parse_temporal_stream(path, n_steps=34) == streams
 
     def test_signed_zero_rows(self, tmp_path):
         path = tmp_path / "t.jsonl"
