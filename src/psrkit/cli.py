@@ -61,6 +61,15 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psrkit",
@@ -105,14 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate traces and the pipeline comparison")
     p.add_argument("--config", required=True, help="simulation config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the config seed")
+    p.add_argument("--seed", type=_seed, help="override the config seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("sample", help="emit clip-end draws or a key-frame batch")
     p.add_argument("--labels", required=True, help="ground-truth labels JSONL")
     p.add_argument("--mode", required=True, choices=["kcas", "kfs"])
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--procedure", help="procedure name or file (required for kfs)")
     p.add_argument("--video-len", type=int, help="frames per video (required for kcas)")
     p.add_argument("--sigma", type=_finite_float, default=45.0, help="Gaussian std in frames")
@@ -152,11 +161,13 @@ def _load_streams(paths, proc, strict):
 
 
 def _densify(stream: ProbStream | None, video_len: int, n_steps: int) -> ProbStream:
-    """A temporal stream with a row for every frame, zero where `stream` has none."""
+    """A temporal stream with a row for every frame: `stream` if it has them all, else zero-filled."""
+    if stream is not None and len(stream) == video_len:
+        return stream
     probs = np.zeros((video_len, n_steps))
     if stream is not None:
         probs[stream.frames] = stream.probs
-    return ProbStream.dense(probs, "temporal")
+    return ProbStream._adopt(np.arange(video_len, dtype=np.int64), probs, "temporal")
 
 
 def _series_rows(vid, stream: ProbStream, record: np.ndarray, proc):

@@ -320,54 +320,76 @@ def parse_labels(
 def serialize_asd_stream(
     detections: Mapping[str, Sequence[StateDetection]], path: str | Path
 ) -> None:
-    records = []
+    """The canonical records, each built as text as the JSON encoder writes it."""
+    lines = [_ASD_HEADER]
     for video_id in sorted(detections):
+        tail = f',"video_id":{canonical_dumps(video_id)}}}'
         for det in detections[video_id]:
-            if det.state.state_id is None:
-                raise ValueError(
-                    f"detection at frame {det.frame} has no state id; cannot serialize"
-                )
-            records.append(
-                {
-                    "confidence": det.confidence,
-                    "frame": det.frame,
-                    "state_id": det.state.state_id,
-                    "video_id": video_id,
-                }
-            )
-    write_jsonl(path, ASD_SCHEMA, records)
+            frame, state_id, confidence = det.frame, det.state.state_id, det.confidence
+            if state_id is None:
+                raise ValueError(f"detection at frame {frame} has no state id; cannot serialize")
+            plain = type(confidence) is float and type(frame) is int and type(state_id) is int
+            lines.append(f'{{"confidence":{confidence!r},"frame":{frame},"state_id":{state_id}{tail}' if plain
+                         else canonical_dumps({"confidence": confidence, "frame": frame,
+                                               "state_id": state_id, "video_id": video_id}))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+# A state record in the writer's layout: a JSON number, a frame of at most 18
+# digits (it fits an int64), an integer state id, and a video id that needs no escapes.
+_ASD_HEADER = canonical_dumps({"schema": ASD_SCHEMA, "version": VERSION})
+_ASD_LINE = re.compile(
+    r'\{"confidence":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),'
+    r'"frame":(0|[1-9][0-9]{0,17}),"state_id":(-?(?:0|[1-9][0-9]{0,17})),'
+    r'"video_id":"([^"\\\x00-\x1f]*)"\}')
+
+
+def _writer_layout_detections(text: str, states_by_id: dict) -> list | None:
+    """(line number, video id, detection) per record of a file in the writer's
+    layout, one fullmatch per line. None if a line is in another layout or fails
+    a check: `_collect` then reads the file and names each error where it is."""
+    lines = text.splitlines()
+    matches = list(map(_ASD_LINE.fullmatch, lines[1:]))
+    if lines[:1] != [_ASD_HEADER] or None in matches:
+        return None
+    confidence_of = {m[1]: float(m[1]) for m in matches}
+    state_of = {m[3]: states_by_id.get(int(m[3])) for m in matches}
+    if not in_unit_interval(list(confidence_of.values())) or None in state_of.values():
+        return None
+    return [(lineno, video_id, _detection(int(frame), state_of[state], confidence_of[confidence]))
+            for lineno, (confidence, frame, state, video_id) in enumerate(map(re.Match.groups, matches), 2)]
+
+
+def _detection(frame: int, state: AssemblyState, confidence: float) -> StateDetection:
+    """A detection of checked fields, made without checking them again."""
+    det = object.__new__(StateDetection)
+    det.__dict__.update(frame=frame, state=state, confidence=confidence)
+    return det
 
 
 def parse_asd_stream(
     path: str | Path, proc: Procedure, strict: bool = True
 ) -> dict[str, list[StateDetection]]:
+    """Per video its detections; a file in the writer's layout is read in whole-file passes."""
     spath = str(path)
-    states_by_id = {
-        s.state_id: s for s in (proc.states or ()) if s.state_id is not None
-    }
+    states_by_id = {s.state_id: s for s in (proc.states or ()) if s.state_id is not None}
 
     def parse_one(rec: dict, lineno: int):
         video_id, frame, state_id, confidence = _record(rec, _ASD_FIELDS, spath, lineno)
         if state_id not in states_by_id:
-            raise SchemaError(
-                f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
-                spath,
-                lineno,
-            )
-        return lineno, video_id, StateDetection(
-            frame=frame, state=states_by_id[state_id], confidence=float(confidence)
-        )
+            raise SchemaError(f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
+                              spath, lineno)
+        return lineno, video_id, StateDetection(frame, states_by_id[state_id], float(confidence))
 
-    _, rows = _collect(path, ASD_SCHEMA, parse_one, strict)
+    rows = _writer_layout_detections(_read_text(path), states_by_id)
+    if rows is None:
+        _, rows = _collect(path, ASD_SCHEMA, parse_one, strict)
     out: dict[str, list[StateDetection]] = {}
     for lineno, video_id, det in rows:
         dets = out.setdefault(video_id, [])
         if dets and det.frame <= dets[-1].frame:
-            raise SchemaError(
-                f"video {video_id!r}: frame {det.frame} not after frame {dets[-1].frame}",
-                spath,
-                lineno,
-            )
+            raise SchemaError(f"video {video_id!r}: frame {det.frame} not after frame {dets[-1].frame}",
+                              spath, lineno)
         dets.append(det)
     return out
 
@@ -534,7 +556,7 @@ def parse_temporal_stream(
                 spath,
                 int(lines[t]),
             )
-        out[video_id] = ProbStream(frames, tables[width][rows], "temporal")
+        out[video_id] = ProbStream._adopt(frames, tables[width][rows], "temporal")
     return out
 
 

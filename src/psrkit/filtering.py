@@ -11,15 +11,16 @@ A whole stream is a `ProbStream`: frame indices and one validated `(T, K)`
 array. `filter_stream` runs the filter over such a block; `filter_step`
 advances it by a single `ConfidenceFrame`, for online use. Both share the
 emission code and give bitwise-equal results for any chunking of a stream.
-`filter_stream` spends Python time per evidence row: it decays a run of
-silent rows in bulk, and checks a silent row against the threshold only
-right after an emission that left a crossing held.
+`filter_stream` spends Python time per evidence row and per possible
+crossing: it calls the emission code only where a bound on the eligible
+accumulators reaches the threshold, and decays a run of silent rows in bulk.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -100,10 +101,16 @@ class ProbStream:
         bad = np.flatnonzero(~((probs >= 0.0) & (probs <= 1.0)).all(axis=1))
         if bad.size:
             raise ValueError(f"probabilities outside [0, 1] at frame {frames[bad[0]]}")
-        frames.flags.writeable = False
-        probs.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "probs", probs)
+        frames.flags.writeable = probs.flags.writeable = False
+        self.__dict__.update(frames=frames, probs=probs)
+
+    @classmethod
+    def _adopt(cls, frames: np.ndarray, probs: np.ndarray, kind: str) -> ProbStream:
+        """A stream of arrays psrkit built and checked, shared with no caller: made read-only."""
+        frames.flags.writeable = probs.flags.writeable = False
+        stream = object.__new__(cls)
+        stream.__dict__.update(frames=frames, probs=probs, kind=kind)
+        return stream
 
     @classmethod
     def dense(cls, probs, kind: str = "fused") -> ProbStream:
@@ -245,58 +252,77 @@ def filter_stream(
     """Advance the filter over every row of `stream`, returning the emitted events.
 
     Bitwise equal to folding `filter_step` over the stream's frames. Python
-    work is per evidence row: a run of silent rows decays in bulk, by one
-    sequential `np.multiply.accumulate`, and as a silent row only shrinks
-    accumulators, it is checked only right after an emission that left a
-    crossing held, since that may have made the crossing eligible. With
-    `record`, an array of the stream's shape, row t receives the
-    accumulators after row t.
+    work is per evidence row and per possible crossing: `_emit` runs only where
+    a bound on the eligible accumulators, grown by each evidence row's largest
+    add (the runner-up's if that step is held) and then tightened, reaches the
+    threshold; silent runs decay in bulk. With `record`, an array of the
+    stream's shape, row t receives the accumulators after row t.
     """
-    if not len(stream):
+    n, proc = len(stream), state.procedure
+    if not n:
         return []
-    n_steps = state.procedure.n_steps
+    frames, n_steps = stream.frames, proc.n_steps
     if stream.n_steps != n_steps:
-        raise StructureError(
-            f"frame {stream.frames[0]} carries {stream.n_steps} probs, expected {n_steps}"
-        )
-    frames = stream.frames.tolist()
+        raise StructureError(f"frame {frames[0]} carries {stream.n_steps} probs, expected {n_steps}")
     if state.last_frame is not None and frames[0] <= state.last_frame:
         raise StreamOrderError(f"frame {frames[0]} arrived after frame {state.last_frame}")
-    decay = state.decay
+    decay, floor = state.decay, state.threshold - EMIT_TOL
     evidence = stream.probs > state.evidence_floor
-    rows = np.flatnonzero(evidence.any(axis=1))
-    # x * 1.0 + p == x + p, and x * decay + 0.0 == x * decay as no accumulator is -0.0
+    rows = np.flatnonzero(np.bincount(np.flatnonzero(evidence) // max(n_steps, 1)))
+    # x * 1.0 + p == x + p, and x * decay + 0.0 == x * decay as no accumulator is -0.0;
+    # a -0.0 cell adds as 0.0 does, so only cells at or under a floor need zeroing
     scale = np.where(evidence[rows], 1.0, decay)
-    add = np.where(evidence[rows], stream.probs[rows], 0.0)
+    add = np.where(evidence[rows], stream.probs[rows], 0.0) if state.evidence_floor else stream.probs[rows]
+    top_step = add.argmax(axis=1) if rows.size else rows
+    others = add.T.copy()
+    top = others[top_step, np.arange(rows.size)].tolist()
+    others[top_step, np.arange(rows.size)] = 0.0
+    second, top_step = others.max(axis=0, initial=0.0).tolist(), top_step.tolist()
+    effects = list(map(proc.action_effects.__getitem__, proc.actions))
     acc = state.accumulators = np.array(state.accumulators, dtype=np.float64)
     events: list[StepEvent] = []
-    hot = True  # a state carried over may hold a crossing
-    bounds = [*rows.tolist(), len(frames)]  # the evidence rows, then the end
-    i = t = 0  # the next evidence row and the next row to advance
-    while t < len(frames):
-        e = bounds[i]
-        if not hot and t < e:  # the rest of a silent run, in bulk
+
+    def opened() -> list[bool]:  # the steps that may emit, as the last kinds stand
+        return [state.last_kind[c] != kind for c, kind in effects]
+
+    def settle(frame: int) -> float:  # the bound tightened; `_emit` if it still reaches T
+        nonlocal is_open
+        bound = max(compress(acc.tolist(), is_open), default=0.0)
+        if bound >= floor and (emitted := _emit(state, frame)[0]):
+            events.extend(emitted)
+            is_open = opened()
+            bound = max(compress(acc.tolist(), is_open), default=0.0)
+        return bound
+
+    is_open = opened()
+    bound, zero, t = math.inf, not acc.any(), 0  # the first row tightens the bound
+    for i, e in enumerate([*rows.tolist(), n]):  # t is the next row to advance
+        while t < e and bound >= floor:  # a crossing may be eligible: row by row
+            acc *= decay
+            bound = settle(int(frames[t]))
+            if record is not None:
+                record[t] = acc
+            t += 1
+        if t < e and not zero:  # the rest of a silent run, in bulk; 0.0 * decay is 0.0
             run = np.full((e - t + 1, n_steps), decay)
             run[0] = acc
-            np.multiply.accumulate(run, axis=0, out=run)
-            acc[:] = run[-1]
             if record is not None:
-                record[t:e] = run[1:]
-            t = e
-            continue
-        if t == e:
-            acc *= scale[i]
-            acc += add[i]
-            i += 1
-        else:
-            acc *= decay
-        emitted, held = _emit(state, frames[t])
-        events.extend(emitted)
-        hot = held and bool(emitted)
+                record[t:e] = np.multiply.accumulate(run, axis=0)[1:]
+            np.multiply.reduce(run, axis=0, out=acc)  # row by row, in order, as the fold multiplies
+        elif t < e and record is not None:
+            record[t:e] = 0.0
+        if e == n:
+            break
+        acc *= scale[i]
+        acc += add[i]
+        zero = False
+        bound += top[i] if is_open[top_step[i]] else second[i]
+        if bound >= floor:
+            bound = settle(int(frames[e]))
         if record is not None:
-            record[t] = acc
-        t += 1
-    state.last_frame = frames[-1]
+            record[e] = acc
+        t = e + 1
+    state.last_frame = int(frames[-1])
     return events
 
 
@@ -354,7 +380,8 @@ def fuse_streams(
         t = apart[0]
         raise AlignmentError(f"frame mismatch: {a.frames[t]} vs {b.frames[t]}")
     if len(a) and a.n_steps != b.n_steps:
-        raise AlignmentError(
-            f"length mismatch at frame {a.frames[0]}: {a.n_steps} vs {b.n_steps}"
-        )
-    return ProbStream(a.frames, 0.5 * a.probs + 0.5 * b.probs, "fused")
+        raise AlignmentError(f"length mismatch at frame {a.frames[0]}: {a.n_steps} vs {b.n_steps}")
+    probs = np.multiply(b.probs, 0.5)  # checked inputs bound their average: no check
+    for lo in range(0, len(probs), 256):  # + is commutative; a block at a time, no dense temporary
+        probs[lo:lo + 256] += 0.5 * a.probs[lo:lo + 256]
+    return ProbStream._adopt(a.frames, probs, "fused")

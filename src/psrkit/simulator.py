@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -118,6 +119,8 @@ class SimConfig:
             raise ConfigError("step_gap", "must be positive")
         if self.tail_frames < 1:
             raise ConfigError("tail_frames", "must be at least 1")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ConfigError("seed", f"must be a non-negative integer, got {self.seed!r}")
         states = self.procedure.states
         if states is None:
             raise ConfigError("procedure", "needs a nominal state sequence to simulate")
@@ -195,15 +198,18 @@ def _ground_truth(proc: Procedure, cfg: SimConfig, rng: np.random.Generator, vid
 
 
 def _occlusion_mask(length: int, model: OcclusionModel, rng: np.random.Generator):
+    """One draw per frame, walked from change to change: a visible frame occludes
+    on a draw under `p_occlude`, an occluded one is revealed on one under `p_reveal`."""
     draws = rng.random(length)
+    occlude = np.flatnonzero(draws < model.p_occlude).tolist()
+    reveal = np.flatnonzero(draws < model.p_reveal).tolist()
     mask = np.zeros(length, dtype=bool)
-    occluded = False
-    for t in range(length):
-        if occluded:
-            occluded = draws[t] >= model.p_reveal
-        else:
-            occluded = draws[t] < model.p_occlude
-        mask[t] = occluded
+    t = 0  # the next visible frame
+    while (i := bisect_left(occlude, t)) < len(occlude):
+        j = bisect_left(reveal, occlude[i] + 1)
+        end = reveal[j] if j < len(reveal) else length
+        mask[occlude[i]:end] = True
+        t = end + 1
     return mask
 
 
@@ -253,7 +259,7 @@ def _temporal_stream(
         hits = rng.random((length, proc.n_steps)) < model.fp_rate
         probs[hits] += rng.uniform(model.fp_low, model.fp_high, size=int(hits.sum()))
     np.clip(probs, 0.0, 1.0, out=probs)
-    return ProbStream.dense(probs, "temporal")
+    return ProbStream._adopt(np.arange(length, dtype=np.int64), probs, "temporal")
 
 
 def simulate(config: SimConfig) -> list[SimTrace]:
@@ -282,7 +288,7 @@ def simulate(config: SimConfig) -> list[SimTrace]:
                 ground_truth=gt,
                 asd_detections=detections,
                 temporal_frames=temporal,
-                occlusion_mask=tuple(bool(b) for b in mask),
+                occlusion_mask=tuple(mask.tolist()),
             )
         )
     return traces

@@ -97,4 +97,4 @@ def asd_stream_probs(
         for action in infer_steps(accepted, det, proc):
             probs[det.frame, proc.step_index(action)] = det.confidence
         accepted, accepted_bits = det, det.state.bits
-    return ProbStream.dense(probs, "asd")
+    return ProbStream._adopt(np.arange(video_len, dtype=np.int64), probs, "asd")

@@ -42,6 +42,17 @@ def filter_fold(proc, frames, rows, threshold, decay=0.75, evidence_floor=0.0):
     return events, history, last_kind, last_frame
 
 
+def occlusion_mask(draws, p_occlude, p_reveal):
+    """The two-state occlusion chain one frame at a time, as first written:
+    a visible frame occludes on a draw under p_occlude, an occluded one is
+    revealed on a draw under p_reveal."""
+    mask, occluded = [], False
+    for draw in draws:
+        occluded = draw >= p_reveal if occluded else draw < p_occlude
+        mask.append(occluded)
+    return mask
+
+
 def naive_asd_probs(detections, proc, video_len, min_confidence=0.0):
     """State-stream probabilities with a transition inferred on every detection.
 
@@ -224,6 +235,21 @@ def naive_occurrences(events, n_components, known):
         if bits in known:
             out.append((f, known[bits]))
     return out
+
+
+def state_stream_text(detections):
+    """The state-stream file of `detections` (video id -> StateDetections)
+    as the codec first wrote it: a canonical JSON object per line, header
+    first."""
+    dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    lines = [dumps({"schema": "psrkit/asd-stream", "version": 1})]
+    for video_id in sorted(detections):
+        lines.extend(
+            dumps({"confidence": det.confidence, "frame": det.frame,
+                   "state_id": det.state.state_id, "video_id": video_id})
+            for det in detections[video_id]
+        )
+    return "\n".join(lines) + "\n"
 
 
 def temporal_stream_text(streams):

@@ -489,6 +489,26 @@ class TestSimulateCommand:
         assert "error model needs a remove action for component" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(sim_config_doc(seed=-1)))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(config_path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: config field 'seed': must be a non-negative integer, got -1\n"
+        )
+        assert not out.exists()
+
+    def test_negative_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(sim_config_doc()))
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "o"),
+                  "--seed", "-1"])
+        assert err.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-1'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_non_finite_config_is_a_config_error(self, tmp_path, capsys):
         doc = sim_config_doc()
         doc["step_gap"] = float("inf")
@@ -524,6 +544,15 @@ class TestSampleCommand:
         out2 = tmp_path / "clips2.jsonl"
         assert main(args[:-1] + [str(out2)]) == 0
         assert out.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["kcas", "kfs"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, labels_path, capsys, mode):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--labels", labels_path, "--mode", mode, "--video-len", "1200",
+                  "--procedure", "toy-motorcycle", "--seed", "-5",
+                  "--out", str(tmp_path / "s.jsonl")])
+        assert err.value.code == 2
+        assert "argument --seed: must be a non-negative integer, got '-5'" in capsys.readouterr().err
 
     def test_kcas_needs_video_len(self, labels_path, tmp_path):
         assert main(["sample", "--labels", labels_path, "--mode", "kcas",

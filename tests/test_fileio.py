@@ -44,7 +44,7 @@ from psrkit.simulator import (
 from psrkit import fileio
 from psrkit.sampling import clip_indices
 
-from oracles import temporal_stream_text
+from oracles import state_stream_text, temporal_stream_text
 from util import random_event_set, seq_of
 
 
@@ -216,7 +216,108 @@ CORRUPTIONS = {
 }
 
 
+def reencode_state(rec, style):
+    """A state record as one JSON line in `style`, none of them the writer's:
+    "escaped" is its layout with a video id of \\u escapes only."""
+    if style == "escaped":  # every UTF-16 code unit as a \u escape
+        units = rec["video_id"].encode("utf-16-be")
+        video_id = '"' + "".join(
+            f"\\u{int.from_bytes(units[i:i + 2], 'big'):04x}" for i in range(0, len(units), 2)
+        ) + '"'
+        return fileio.canonical_dumps({**rec, "video_id": "@"}).replace('"@"', video_id)
+    if style == "reordered":
+        return json.dumps(dict(reversed(rec.items())), separators=(",", ":"))
+    return json.dumps(rec, sort_keys=True)  # spaced
+
+
+def _edit_state(line, field, text):
+    """A canonical state line whose `field` value text is `text`."""
+    return re.sub(f'"{field}":[^,}}]*', lambda _: f'"{field}":{text}', line, count=1)
+
+
+# One state line's corruptions, as the lines that replace it.
+STATE_CORRUPTIONS = {
+    **{f"confidence {token}": lambda line, token=token: [_edit_state(line, "confidence", token)]
+       for token in ("1.5", "NaN", "true", "1e999")},
+    "unknown state id": lambda line: [_edit_state(line, "state_id", "99")],
+    **{f"frame {token}": lambda line, token=token: [_edit_state(line, "frame", token)]
+       for token in (str(2**63), "1.5")},
+    "repeated frame": lambda line: [line, line],
+    "broken JSON": lambda line: [line[:-1]],
+    "blank line": lambda line: ["", line],
+    "spaced": lambda line: [reencode_state(json.loads(line), "spaced")],
+    "escaped video id": lambda line: [reencode_state(json.loads(line), "escaped")],
+}
+
+
+def draw_state_streams(data, toy, video_ids=st.text(min_size=1, max_size=6)):
+    """Up to 3 videos of up to 8 detections with gappy frames."""
+    confidence = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_PROBS))
+    dets = {}
+    for video_id in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
+        frames = sorted(data.draw(st.sets(st.integers(0, 2**63 - 1), min_size=1, max_size=8)))
+        dets[video_id] = [StateDetection(f, data.draw(st.sampled_from(toy.states)),
+                                         data.draw(confidence)) for f in frames]
+    return dets
+
+
 class TestStreamCodecs:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_state_writer_is_canonical_dumps(self, toy, tmp_path, data):
+        """Byte for byte one canonical JSON object per record, also for
+        confidences and frames that are not floats and ints."""
+        dets = draw_state_streams(data, toy)
+        odd = st.sampled_from([0, 1, True, np.float64(0.25)])
+        for video_dets in dets.values():
+            if data.draw(st.booleans()):
+                det = video_dets[0]
+                video_dets[0] = StateDetection(det.frame, det.state, data.draw(odd))
+        if data.draw(st.booleans()):
+            dets.setdefault("v", []).insert(0, StateDetection(True, toy.states[1], 0.5))
+        path = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(dets, path)
+        assert path.read_bytes() == state_stream_text(dets).encode()
+
+    @pytest.mark.parametrize("kind", sorted(STATE_CORRUPTIONS))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_bad_state_line_reads_as_every_line_re_encoded(self, toy, tmp_path, caplog,
+                                                               kind, data):
+        """A canonical state stream with one corrupted line gives what the
+        same file gives with every line re-encoded, and so read record by
+        record: in strict mode the same error text on the same line; in
+        lenient mode the same detections and warnings."""
+        ids = st.text(string.ascii_letters + '_-"\\é', min_size=1, max_size=6)
+        dets = draw_state_streams(data, toy, ids)
+        path = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(dets, path)
+        header, *lines = path.read_text().splitlines()
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = STATE_CORRUPTIONS[kind](lines[i])
+
+        def re_encoded(line):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError:
+                return line  # broken or blank: the same text in both files
+            return reencode_state(rec, data.draw(st.sampled_from(["spaced", "reordered", "escaped"])))
+
+        outcomes = []
+        for text_lines in (lines, list(map(re_encoded, lines))):
+            path.write_text("\n".join([header, *text_lines]) + "\n")
+            for strict in (True, False):
+                caplog.clear()
+                try:
+                    result = fileio.parse_asd_stream(path, toy, strict=strict)
+                except SchemaError as e:
+                    result = str(e)
+                outcomes.append((result, [r.getMessage() for r in caplog.records]))
+        assert outcomes[:2] == outcomes[2:]
+
+
     def test_asd_round_trip(self, toy, tmp_path):
         dets = {
             "v0": [

@@ -1,5 +1,7 @@
 import math
-from itertools import accumulate, pairwise
+from contextlib import contextmanager
+from itertools import accumulate, chain, pairwise, repeat
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -15,14 +17,19 @@ from psrkit import (
     REMOVE,
     Procedure,
     ProbStream,
+    SimConfig,
+    StateDetection,
     StreamOrderError,
     StructureError,
+    asd_stream_probs,
     filter_step,
     filter_stream,
     fuse,
     fuse_streams,
     run_filter,
+    simulate,
 )
+from psrkit import fileio, filtering
 
 from oracles import filter_fold
 from util import constant_stream
@@ -205,25 +212,52 @@ class TestRunFilter:
             ] == [(e.action, e.frame) for e in events]
 
 
-def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame=(False,)):
-    """Filter `rows` in chunks split at `cuts`, each chunk block-wise or one
-    frame at a time, and compare with the reference fold: same events and
-    bitwise-equal state. Also checks `run_filter` and its recorded
-    accumulators. Returns the events."""
+@contextmanager
+def emit_only_on_crossings():
+    """Within the block, `filter_stream` may call `_emit` only on a row where
+    an eligible accumulator is at or above the threshold (or a threshold
+    within EMIT_TOL of zero makes every row one)."""
+    emit = filtering._emit
+
+    def screened(state, frame):
+        floor = state.threshold - filtering.EMIT_TOL
+        effects = map(state.procedure.effect, state.procedure.actions)
+        assert floor <= 0.0 or any(
+            acc >= floor and state.last_kind[c] != kind
+            for acc, (c, kind) in zip(state.accumulators.tolist(), effects)
+        ), f"_emit called at frame {frame} with no eligible crossing"
+        return emit(state, frame)
+
+    with patch.object(filtering, "_emit", screened):
+        yield
+
+
+def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame=(False,),
+                       recorded=(False,)):
+    """Filter `rows` in chunks split at `cuts`, each chunk block-wise (with or
+    without a record) or one frame at a time, and compare with the reference
+    fold: same events, recorded accumulators and bitwise-equal state. Also
+    checks `run_filter` and its recorded accumulators, and that the blocks
+    call `_emit` only on crossings. Returns the events."""
     stream = ProbStream(frames, np.array(rows, dtype=float).reshape(len(frames), 6))
     state = FilterState(procedure=TOGGLE, threshold=threshold, decay=decay,
                         evidence_floor=floor)
-    events = []
-    for (lo, hi), one_by_one in zip(pairwise([0, *cuts, len(frames)]), per_frame):
-        if one_by_one:
-            for f in stream[lo:hi]:
-                events.extend(filter_step(state, f)[1])
-        else:
-            events.extend(filter_stream(state, stream[lo:hi]))
-
     ref_events, history, ref_kind, ref_last = filter_fold(
         TOGGLE, frames, rows, threshold, decay, floor
     )
+    events = []
+    chunks = zip(pairwise([0, *cuts, len(frames)]), per_frame, chain(recorded, repeat(False)))
+    for (lo, hi), one_by_one, with_record in chunks:
+        if one_by_one:
+            for f in stream[lo:hi]:
+                events.extend(filter_step(state, f)[1])
+            continue
+        record = np.empty((hi - lo, 6)) if with_record else None
+        with emit_only_on_crossings():
+            events.extend(filter_stream(state, stream[lo:hi], record))
+        if record is not None:
+            assert record.tobytes() == np.array(history[lo:hi]).reshape(record.shape).tobytes()
+
     assert events == ref_events
     final = history[-1] if history else np.zeros(6)
     assert state.accumulators.tobytes() == final.tobytes()
@@ -231,7 +265,8 @@ def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame
     assert state.last_frame == ref_last
 
     record = np.empty(stream.probs.shape)
-    whole = run_filter(stream, TOGGLE, threshold, decay, floor, record=record)
+    with emit_only_on_crossings():
+        whole = run_filter(stream, TOGGLE, threshold, decay, floor, record=record)
     assert whole == EventSequence.from_events(ref_events, video_id="video", fps=10)
     assert record.tobytes() == np.array(history).reshape(record.shape).tobytes()
     return events
@@ -255,6 +290,7 @@ class TestFilterStream:
             cuts=cuts,
             per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
                                          max_size=len(cuts) + 1)),
+            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
 
     def test_held_crossing_emits_on_a_silent_frame(self):
@@ -299,7 +335,68 @@ class TestFilterStream:
             cuts=cuts,
             per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
                                          max_size=len(cuts) + 1)),
+            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_tight_bounds_equal_frame_fold(self, data):
+        """Streams on which the bound on the eligible accumulators is tight.
+
+        Segments: adds of 0.1 that sum to within EMIT_TOL of a threshold of
+        1.0 or 0.3; rows whose largest add ties another; an install held at
+        the threshold and released by its remove, followed by an evidence row
+        or a silent one; cells under and at an evidence floor; silent runs.
+        Thresholds include ones at or within EMIT_TOL of zero, and retention
+        1.0.
+        """
+        floor = data.draw(st.sampled_from([0.0, 0.1, 0.25]))
+        value = st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0, floor / 2, floor]) | st.floats(0.0, 1.0)
+        step = st.integers(0, 5)
+        rows = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            kind = data.draw(st.sampled_from(["tenths", "tie", "release", "floor", "any", "quiet"]))
+            if kind == "tenths":
+                k = data.draw(step)
+                rows.extend([0.1 if j == k else 0.0 for j in range(6)] for _ in range(10))
+            elif kind == "tie":
+                row = data.draw(st.lists(value, min_size=6, max_size=6))
+                a, b = data.draw(st.lists(step, min_size=2, max_size=2, unique=True))
+                row[a] = row[b] = data.draw(value)
+                rows.append(row)
+            elif kind == "release":  # install c held, then its remove reopens it
+                c = data.draw(st.integers(0, 2))
+                install = [1.0 if j == c else 0.0 for j in range(6)]
+                rows.extend([install] * data.draw(st.integers(1, 3)))
+                rows.append([1.0 if j in (c, c + 3) else 0.0 for j in range(6)])
+                rows.append(data.draw(st.just([0.0] * 6) | st.lists(value, min_size=6, max_size=6)))
+            elif kind == "floor":
+                rows.append(data.draw(st.lists(st.sampled_from([0.0, floor / 2, floor]) | value,
+                                               min_size=6, max_size=6)))
+            elif kind == "any":
+                rows.append(data.draw(st.lists(value, min_size=6, max_size=6)))
+            else:
+                rows.extend([[0.0] * 6] * data.draw(st.integers(1, 40)))
+        frames = (data.draw(st.integers(0, 5)) + np.arange(len(rows))).tolist()
+        cuts = sorted(set(data.draw(st.lists(st.integers(0, len(frames)), max_size=4))))
+        check_against_fold(
+            frames,
+            rows,
+            threshold=data.draw(st.sampled_from([1.0, 0.3, 0.5, filtering.EMIT_TOL, 1e-10])
+                                | st.floats(0.05, 3.0)),
+            decay=data.draw(st.sampled_from([1.0, 0.75]) | st.floats(0.05, 1.0)),
+            floor=floor,
+            cuts=cuts,
+            per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
+                                         max_size=len(cuts) + 1)),
+            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
+        )
+
+    def test_ten_tenths_cross_a_threshold_of_one(self):
+        # 0.1 summed ten times is 0.9999999999999999, within EMIT_TOL of 1.0
+        rows = [[0.1, 0, 0, 0, 0, 0]] * 10 + [[0.0] * 6]
+        events = check_against_fold(list(range(11)), rows, 1.0, 0.75, 0.0, recorded=(True,))
+        assert [(e.action, e.frame) for e in events] == [(0, 9)]
 
     def test_threshold_within_tolerance_of_zero(self):
         # Under a threshold of 1e-10 every accumulator crosses, a reset one
@@ -354,6 +451,45 @@ class TestProbStream:
             stream.probs[0, 0] = 1.0
         with pytest.raises(ValueError):
             stream.frames[0] = 5
+
+    def test_public_constructors_copy_and_check(self):
+        frames, probs = np.array([0, 2, 5]), np.array([[0.5, 0.0], [1.0, 0.25], [0.0, 0.0]])
+        for stream in (ProbStream(frames, probs, "temporal"), ProbStream.dense(probs)):
+            assert not np.shares_memory(stream.probs, probs)
+            assert not np.shares_memory(stream.frames, frames)
+            assert not stream.probs.flags.writeable and not stream.frames.flags.writeable
+        for bad in (math.nan, 1.5, -0.5):
+            with pytest.raises(ValueError, match="frame 2"):
+                ProbStream(frames, np.where(probs == 1.0, bad, probs))
+            with pytest.raises(ValueError, match="frame 1"):
+                ProbStream.dense(np.where(probs == 1.0, bad, probs))
+        with pytest.raises(StreamOrderError, match="frame 2 arrived after frame 5"):
+            ProbStream([0, 5, 2], probs)
+
+    def test_built_streams_are_read_only_and_their_own(self, toy, tmp_path):
+        """Streams psrkit builds adopt arrays it made: read-only, and sharing
+        no memory with any array a caller holds."""
+        rng = np.random.default_rng(3)
+        frames = np.arange(40)
+        caller = [frames, rng.random((40, toy.n_steps)), rng.random((40, toy.n_steps))]
+        asd, temporal = ProbStream(frames, caller[1], "asd"), ProbStream(frames, caller[2], "temporal")
+        dets = [StateDetection(5, toy.states[1], 0.9), StateDetection(9, toy.states[2], 0.8)]
+        fileio.serialize_temporal_stream({"v": temporal}, tmp_path / "t.jsonl")
+        config = SimConfig(procedure=toy, n_videos=1, tail_frames=30, seed=4)
+        built = {
+            "fuse_streams": fuse_streams(asd, temporal),
+            "asd_stream_probs": asd_stream_probs(dets, toy, 40),
+            "parse_temporal_stream": fileio.parse_temporal_stream(tmp_path / "t.jsonl")["v"],
+            "simulate": simulate(config)[0].temporal_frames,
+        }
+        for name, stream in built.items():
+            assert not stream.frames.flags.writeable, name
+            assert not stream.probs.flags.writeable, name
+            for array in (*caller, asd.probs, temporal.probs):
+                assert not np.shares_memory(stream.probs, array), name
+                assert not np.shares_memory(stream.frames, array), name
+        assert built["fuse_streams"] == ProbStream(frames, 0.5 * caller[1] + 0.5 * caller[2])
+        assert built["parse_temporal_stream"] == temporal
 
     def test_frame_view(self):
         stream = ProbStream([3, 7], [[0.25, 0.0], [0.5, 1.0]], "temporal")

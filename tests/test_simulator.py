@@ -1,7 +1,10 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psrkit import (
     AsdModel,
@@ -18,7 +21,10 @@ from psrkit import (
     simulate,
     toy_motorcycle,
 )
+from psrkit.simulator import _occlusion_mask
 from psrkit.state_inference import asd_stream_probs
+
+import oracles
 
 
 def quiet_config(seed=0, n_videos=2, **overrides):
@@ -61,6 +67,12 @@ class TestConfigValidation:
             quiet_config(fps=fps)
         assert err.value.field == "fps"
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "7", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        with pytest.raises(ConfigError) as err:
+            quiet_config(seed=seed)
+        assert err.value.field == "seed"
+
     def test_procedure_rebuilt_at_config_fps(self):
         toy = toy_motorcycle()
         assert quiet_config().procedure == toy
@@ -101,6 +113,21 @@ class TestConfigValidation:
 
 
 class TestSimulate:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p_occlude=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        p_reveal=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        length=st.integers(0, 400),
+        seed=st.integers(0, 2**32),
+    )
+    def test_occlusion_mask_is_the_frame_by_frame_chain(self, p_occlude, p_reveal, length, seed):
+        assume(p_occlude == 0.0 or p_reveal > 0.0)  # an absorbing chain is refused
+        model = OcclusionModel(p_occlude, p_reveal)
+        mask = _occlusion_mask(length, model, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed).random(length).tolist()
+        assert mask.dtype == bool
+        assert mask.tolist() == oracles.occlusion_mask(draws, p_occlude, p_reveal)
+
     def test_deterministic(self):
         cfg = heavy_occlusion_config(seed=3, n_videos=2)
         a, b = simulate(cfg), simulate(cfg)
