@@ -184,6 +184,9 @@ def _series_rows(vid, stream: ProbStream, record: np.ndarray, proc):
 
 
 def cmd_evaluate(args) -> int:
+    csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
+    if Path(csv_path).resolve() == Path(args.out).resolve():  # the CSV would overwrite the report
+        raise ValueError(f"--csv {csv_path} and --out {args.out} name the same file")
     proc = fileio.resolve_procedure(args.procedure) if args.procedure else None
     weights = fileio.parse_weights(args.weights)
     gt = fileio.parse_labels(args.labels, proc=proc, strict=args.strict)
@@ -214,7 +217,6 @@ def cmd_evaluate(args) -> int:
         "strict": args.strict,
     }
     fileio.write_json(args.out, fileio.build_report(reports, summary, config))
-    csv_path = args.csv or str(Path(args.out).with_suffix(".csv"))
     fileio.write_metrics_csv(reports, summary, csv_path)
     tau = "undefined" if summary.tau_s is None else f"{summary.tau_s:.3f}s"
     print(
@@ -225,6 +227,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_recognize(args) -> int:
+    if args.series_out and Path(args.series_out).resolve() == Path(args.out).resolve():
+        raise ValueError(f"--series-out {args.series_out} and --out {args.out} name the same file")
     proc = fileio.resolve_procedure(args.procedure)
     asd, temporal = _load_streams(args.streams, proc, args.strict)
     if args.fuse and (asd is None or temporal is None):

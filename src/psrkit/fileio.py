@@ -63,12 +63,13 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-def _read_text(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+def _read_text(path: str | Path, data: bytes | None = None) -> str:
+    try:  # with universal newlines, as `open` reads text
+        text = (Path(path).read_bytes() if data is None else data).decode("utf-8")
     except UnicodeDecodeError as e:
         line = e.object.count(b"\n", 0, e.start) + 1
         raise SchemaError(f"not UTF-8 text: {e}", str(path), line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _decode(text: str | bytes, path: str, line: int | None = None, decode=json.loads) -> Any:
@@ -221,14 +222,15 @@ def _collect(
     parse_one: Callable[[dict, int], Any],
     strict: bool,
     header_spec: tuple = (),
+    text: str | None = None,
 ) -> tuple[list, list]:
     """The header's `header_spec` values and `parse_one(record, line number)`
-    of each later record, in one pass over a JSONL file. An empty file yields
-    no records, and its header fields their defaults."""
+    of each later record, in one pass over a JSONL file (its `text`, if read).
+    An empty file yields no records, and its header fields their defaults."""
     spath = str(path)
     header = None
     out = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate((_read_text(path) if text is None else text).splitlines(), start=1):
         if not line.strip():
             continue
         rec = _decode(line, spath, lineno)
@@ -335,29 +337,31 @@ def serialize_asd_stream(
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-# A state record in the writer's layout: a JSON number, a frame of at most 18
-# digits (it fits an int64), an integer state id, and a video id that needs no escapes.
+# A state record in the writer's layout: a JSON number, a frame of at most 18 digits (it fits an
+# int64), an integer state id, and a video id with no escapes and no `str.splitlines` line break.
+_VIDEO_ID_TEXT = r'"([^"\\\x00-\x1f\x85\u2028\u2029]*)"'
 _ASD_HEADER = canonical_dumps({"schema": ASD_SCHEMA, "version": VERSION})
-_ASD_LINE = re.compile(
-    r'\{"confidence":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),'
+_ASD_LINES = re.compile(
+    r'^\{"confidence":((?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?),'
     r'"frame":(0|[1-9][0-9]{0,17}),"state_id":(-?(?:0|[1-9][0-9]{0,17})),'
-    r'"video_id":"([^"\\\x00-\x1f]*)"\}')
+    rf'"video_id":{_VIDEO_ID_TEXT}\}}$', re.MULTILINE)
 
 
-def _writer_layout_detections(text: str, states_by_id: dict) -> list | None:
-    """(line number, video id, detection) per record of a file in the writer's
-    layout, one fullmatch per line. None if a line is in another layout or fails
-    a check: `_collect` then reads the file and names each error where it is."""
-    lines = text.splitlines()
-    matches = list(map(_ASD_LINE.fullmatch, lines[1:]))
-    if lines[:1] != [_ASD_HEADER] or None in matches:
+def _writer_layout_detections(text: str, states_by_id: dict) -> tuple | None:
+    """Line numbers, video ids, frames and detections of a file in the writer's
+    layout, by one multiline findall. None if a line is in another layout or
+    fails a check: `_collect` then reads the file and names each error where it is."""
+    records = _ASD_LINES.findall(text)  # one per line after the header, unless a line is in another layout
+    if not text.startswith(_ASD_HEADER + "\n") or len(records) + 1 != text.count("\n") + (text[-1] != "\n"):
         return None
-    confidence_of = {m[1]: float(m[1]) for m in matches}
-    state_of = {m[3]: states_by_id.get(int(m[3])) for m in matches}
+    confidences, frames, states, video_ids = zip(*records) if records else ((),) * 4
+    confidence_of = {c: float(c) for c in dict.fromkeys(confidences)}
+    state_of = {s: states_by_id.get(int(s)) for s in dict.fromkeys(states)}
     if not in_unit_interval(list(confidence_of.values())) or None in state_of.values():
         return None
-    return [(lineno, video_id, _detection(int(frame), state_of[state], confidence_of[confidence]))
-            for lineno, (confidence, frame, state, video_id) in enumerate(map(re.Match.groups, matches), 2)]
+    frames = json.loads(f"[{','.join(frames)}]")
+    return range(2, len(frames) + 2), video_ids, frames, list(map(
+        _detection, frames, map(state_of.__getitem__, states), map(confidence_of.__getitem__, confidences)))
 
 
 def _detection(frame: int, state: AssemblyState, confidence: float) -> StateDetection:
@@ -368,9 +372,9 @@ def _detection(frame: int, state: AssemblyState, confidence: float) -> StateDete
 
 
 def parse_asd_stream(
-    path: str | Path, proc: Procedure, strict: bool = True
+    path: str | Path, proc: Procedure, strict: bool = True, text: str | None = None
 ) -> dict[str, list[StateDetection]]:
-    """Per video its detections; a file in the writer's layout is read in whole-file passes."""
+    """Per video its detections (of `text`, if read); the writer's layout is read in whole-text passes."""
     spath = str(path)
     states_by_id = {s.state_id: s for s in (proc.states or ()) if s.state_id is not None}
 
@@ -379,19 +383,23 @@ def parse_asd_stream(
         if state_id not in states_by_id:
             raise SchemaError(f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
                               spath, lineno)
-        return lineno, video_id, StateDetection(frame, states_by_id[state_id], float(confidence))
+        return lineno, video_id, frame, StateDetection(frame, states_by_id[state_id], float(confidence))
 
-    rows = _writer_layout_detections(_read_text(path), states_by_id)
-    if rows is None:
-        _, rows = _collect(path, ASD_SCHEMA, parse_one, strict)
-    out: dict[str, list[StateDetection]] = {}
-    for lineno, video_id, det in rows:
-        dets = out.setdefault(video_id, [])
-        if dets and det.frame <= dets[-1].frame:
-            raise SchemaError(f"video {video_id!r}: frame {det.frame} not after frame {dets[-1].frame}",
-                              spath, lineno)
-        dets.append(det)
-    return out
+    text = _read_text(path) if text is None else text
+    columns = _writer_layout_detections(text, states_by_id)
+    if columns is None:
+        columns = tuple(zip(*_collect(path, ASD_SCHEMA, parse_one, strict, text=text)[1])) or ((),) * 4
+    lines, video_ids, frames, dets = columns
+    at: dict[str, list[int]] = {}  # per video its rows
+    for i, video_id in enumerate(video_ids):
+        at.setdefault(video_id, []).append(i)
+    frames = np.array(frames, np.int64)
+    late = [(rows[t + 1], rows[t]) for rows in at.values()
+            for t in np.flatnonzero(np.diff(frames[rows]) <= 0)[:1].tolist()]
+    for i, previous in sorted(late)[:1]:  # the first such line in the file
+        raise SchemaError(f"video {video_ids[i]!r}: frame {frames[i]} not after frame {frames[previous]}",
+                          spath, lines[i])
+    return {video_id: list(map(dets.__getitem__, rows)) for video_id, rows in at.items()}
 
 
 def parse_stream(
@@ -402,19 +410,22 @@ def parse_stream(
     Returns the schema and the per-video data: `StateDetection` lists for a
     state stream (which needs `proc` for its state ids), `ProbStream`s for a
     temporal stream (rows checked against `proc.n_steps` when `proc` is given).
+    A file led by a header as the writers write it is read once, no other.
     """
-    schema = peek_schema(path)
+    data = Path(path).read_bytes()
+    schema = _STREAM_HEADERS.get(data[:64].partition(b"\n")[0]) or peek_schema(path)
+    if schema not in (ASD_SCHEMA, TEMPORAL_SCHEMA):
+        raise SchemaError(f"not a recognized stream schema: {schema!r}", str(path))
+    if schema == ASD_SCHEMA and proc is None:
+        raise SchemaError("a state stream needs a procedure for its state ids", str(path))
+    text, data = _read_text(path, data), None  # one copy of the file
     if schema == ASD_SCHEMA:
-        if proc is None:
-            raise SchemaError("a state stream needs a procedure for its state ids", str(path))
-        return schema, parse_asd_stream(path, proc, strict=strict)
-    if schema == TEMPORAL_SCHEMA:
-        n_steps = proc.n_steps if proc is not None else None
-        return schema, parse_temporal_stream(path, n_steps, strict=strict)
-    raise SchemaError(f"not a recognized stream schema: {schema!r}", str(path))
+        return schema, parse_asd_stream(path, proc, strict, text)
+    return schema, parse_temporal_stream(path, proc.n_steps if proc is not None else None, strict, text)
 
 
 _TEMPORAL_HEADER = canonical_dumps({"schema": TEMPORAL_SCHEMA, "version": VERSION})
+_STREAM_HEADERS = {_ASD_HEADER.encode(): ASD_SCHEMA, _TEMPORAL_HEADER.encode(): TEMPORAL_SCHEMA}
 _EVIDENCE_BLOCK = 256  # rows whose cells are held as Python objects at once, written or read
 _ZERO_CELL = np.array("0.0", dtype=object)  # fills as an object; a str fill is cast cell by cell
 
@@ -442,12 +453,15 @@ def serialize_temporal_stream(streams: Mapping[str, ProbStream], path: str | Pat
                               for frame, row in zip(stream.frames.tolist(), rows.tolist())]))
 
 
-# A temporal record in the writer's layout is `{"frame":` and a frame that
-# fits an int64, `_PROBS_START`, the `probs` text, and a tail: `_PROBS_END`
-# and a video id that needs no escapes.
-_PROBS_START, _PROBS_END = ',"probs":[', '],"video_id":'
-_HEADS = re.compile(r'\n\{"frame":(0|[1-9][0-9]{0,17}),"probs":\[')
-_TAIL = re.compile(r'\],"video_id":"([^"\\\x00-\x1f]*)"\}')
+# A temporal record in the writer's layout is `{"frame":` at a line start and
+# a frame that fits an int64, `_PROBS_START`, the `probs` text, and a tail:
+# `_PROBS_END` and a video id as `_VIDEO_ID_TEXT` allows.
+_LINE_START, _PROBS_START, _PROBS_END = '\n{"frame":', ',"probs":[', '],"video_id":'
+_TAIL = re.compile(rf'\],"video_id":{_VIDEO_ID_TEXT}\}}')
+# Rows are decoded whole from this many characters per cell: `0.0,` has 4, a
+# written probability about 20, so about a quarter of other cells (34 steps).
+_WHOLE_ROW_CHARS = 8
+_ZERO_WORD = int.from_bytes(b"0.0,", "little")  # a `0.0` cell and its comma, read as "<u4"
 
 
 def _unit_numbers(probs: list) -> bool:
@@ -456,45 +470,64 @@ def _unit_numbers(probs: list) -> bool:
     return types <= _NUMBER_TYPES and (int not in types or in_unit_interval(probs))
 
 
-def _writer_layout_rows(text: str, n_steps: int | None) -> tuple[dict, dict] | None:
-    """The distinct rows of a file in the writer's layout, by width, and per
-    video its (width, line numbers, frames, row indices), read in whole-file
-    passes. Each distinct `probs` text is decoded once, a block of texts per
-    JSON parse. None if a line is in another layout or holds other than
-    floats, or if the rows differ in width: `_collect` then reads the file
-    record by record and names each error where it is found."""
-    lines = text.splitlines()
-    frames = _HEADS.findall(text)  # at most one per line after the first, each at its start
-    if lines[:1] != [_TEMPORAL_HEADER] or len(frames) != len(lines) - 1:
-        return None
-    del text  # about one copy of the file at a time: its lines, then their rests
-    rests = list(map(itemgetter(2), map(str.partition, lines[1:], repeat(_PROBS_START))))
-    del lines
-    key_of = {rest: key for key, rest in enumerate(dict.fromkeys(rests))}
-    split = [rest.rpartition(_PROBS_END) for rest in key_of]
-    distinct = list(dict.fromkeys(probs_text for probs_text, _, _ in split))
-    tails = [_TAIL.fullmatch(end + tail) for _, end, tail in split]
-    widths = set(map(str.count, distinct, repeat(",")))
-    if None in tails or len(widths) != 1 or n_steps not in (None, widths.pop() + 1):
-        return None
+def _float_cells(texts: list[str], width: int) -> np.ndarray | None:
+    """The cells of `texts`, `width` comma-separated JSON floats each, as one array: of mostly `0.0`
+    cells only the others are decoded, else rows whole. None if a cell is no float or breaks a line."""
+    other = np.ones(n := len(texts) * width, bool)  # the cells to decode
+    if sum(map(len, texts)) + len(texts) < _WHOLE_ROW_CHARS * n:
+        data = f"{','.join(texts)},...".encode()  # 3 bytes past the last comma
+        text = np.frombuffer(data, np.uint8, len(data) - 3)
+        ends = np.flatnonzero(text == ord(","))  # one per cell, after it
+        sizes = np.diff(ends, prepend=-1)  # each cell's, with its comma
+        other = np.ndarray(len(text), "<u4", data, strides=(1,))[ends - sizes + 1] != _ZERO_WORD
+        texts = [text[np.repeat(other, sizes)].tobytes()[:-1].decode()]
     flat = array("d")
-    for start in range(0, len(distinct), _EVIDENCE_BLOCK):
+    for start in range(0, len(texts), _EVIDENCE_BLOCK):  # a block of rows per JSON parse
+        block = ",".join(texts[start:start + _EVIDENCE_BLOCK])
         try:  # floats only, so each text holds one more value than it has commas
-            values = json.loads(f"[{','.join(distinct[start:start + _EVIDENCE_BLOCK])}]")
+            values = json.loads(f"[{block}]")
         except (ValueError, RecursionError):
             return None
-        if set(map(type, values)) != {float}:
+        if "\n" in block or set(map(type, values)) - {float}:  # JSON whitespace, but a line break
             return None
         flat.extend(values)
-    width = len(flat) // len(distinct)
+    if len(other) != n or len(flat) != np.count_nonzero(other):
+        return None  # a blank cell is no value
+    cells = np.zeros(n)
+    cells[other] = flat
+    return cells
+
+
+def _writer_layout_rows(text: str, n_steps: int | None) -> tuple[dict, dict] | None:
+    """The distinct rows of a file in the writer's layout, by width, and per video its (width, line
+    numbers, frames, row indices), in whole-text passes. None if a line is in another layout, holds
+    other than floats or differs in width: `_collect` then reads the file record by record."""
+    header, *lines = map(str.partition, text.split(_LINE_START), repeat(_PROBS_START))
+    frames = ",".join(map(itemgetter(0), lines))  # one comma fewer than lines, unless a frame holds one
+    if (header[0] != _TEMPORAL_HEADER or header[1] or frames.count(",") >= len(lines)
+            or not frames.encode().translate(None, b",").isdigit()):
+        return None
+    try:  # JSON refuses leading zeros, and int64 frames from 2**63
+        frames = np.array(json.loads(f"[{frames}]"), np.int64)
+    except (ValueError, OverflowError):
+        return None
+    rests = list(map(itemgetter(2), lines))
+    rests[-1] = rests[-1].removesuffix("\n")
+    key_of = {rest: key for key, rest in enumerate(dict.fromkeys(rests))}
+    keys = np.fromiter(map(key_of.__getitem__, rests), np.intp, len(rests))
+    split = [rest.rpartition(_PROBS_END) for rest in key_of]
+    del lines, rests, key_of  # of the lines, only the split distinct rests are kept
+    distinct = list(dict.fromkeys(probs_text for probs_text, _, _ in split))
+    tails = [_TAIL.fullmatch(end + tail) for _, end, tail in split]
+    width = max(map(str.count, distinct, repeat(","))) + 1  # the cell count checks it is every row's
+    if None in tails or n_steps not in (None, width) or (flat := _float_cells(distinct, width)) is None:
+        return None
     row_of = {probs_text: row for row, probs_text in enumerate(distinct)}
     code_of = {video_id: code for code, video_id in enumerate(dict.fromkeys(m[1] for m in tails))}
-    keys = np.fromiter(map(key_of.__getitem__, rests), np.intp, len(rests))
     rows = np.array([row_of[probs_text] for probs_text, _, _ in split])[keys]
     codes = np.array([code_of[m[1]] for m in tails])[keys]
-    frames = np.fromiter(map(int, frames), np.int64, len(frames))
     at = {video_id: np.flatnonzero(codes == code) for video_id, code in code_of.items()}
-    return ({width: np.frombuffer(flat).reshape(len(distinct), width)},
+    return ({width: flat.reshape(len(distinct), width)},
             {video_id: (width, i + 2, frames[i], rows[i]) for video_id, i in at.items()})
 
 
@@ -502,13 +535,15 @@ def parse_temporal_stream(
     path: str | Path,
     n_steps: int | None = None,
     strict: bool = True,
+    text: str | None = None,
 ) -> dict[str, ProbStream]:
-    """One "temporal" stream per video. Every row of a video has the same
-    length: `n_steps` if given, else that of the video's first row. A file in
-    the writer's layout is read in whole-file passes; any other file record
-    by record."""
+    """One "temporal" stream per video, from the file or its `text` when
+    already read. Every row of a video has the same length: `n_steps` if
+    given, else that of the video's first row. A file in the writer's layout
+    is read in whole-text passes; any other file record by record."""
     spath = str(path)
-    read = _writer_layout_rows(_read_text(path), n_steps)
+    text = _read_text(path) if text is None else text
+    read = _writer_layout_rows(text, n_steps)
     if read is None:
         width_of: dict[str, int] = {}
         tables: dict[int, list] = {}  # width -> [its rows end to end, their count]
@@ -517,11 +552,8 @@ def parse_temporal_stream(
             video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
             width = width_of.setdefault(video_id, len(probs) if n_steps is None else n_steps)
             if len(probs) != width:
-                raise SchemaError(
-                    f"frame {frame}: probs has length {len(probs)}, expected {width}",
-                    spath,
-                    lineno,
-                )
+                raise SchemaError(f"frame {frame}: probs has length {len(probs)}, expected {width}",
+                                  spath, lineno)
             if not _unit_numbers(probs):
                 raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
             table = tables.setdefault(width, [array("d"), 0])
@@ -530,7 +562,7 @@ def parse_temporal_stream(
             return video_id, (lineno, frame, table[1] - 1)
 
         grouped: dict[str, list] = {}
-        for video_id, record in _collect(path, TEMPORAL_SCHEMA, parse_one, strict)[1]:
+        for video_id, record in _collect(path, TEMPORAL_SCHEMA, parse_one, strict, text=text)[1]:
             grouped.setdefault(video_id, []).append(record)
         read = ({width: np.frombuffer(flat).reshape(n, width) for width, (flat, n) in tables.items()},
                 {video_id: (width_of[video_id], *map(np.array, zip(*records)))
@@ -547,15 +579,11 @@ def parse_temporal_stream(
             log.warning("skipping bad record: %s", err)
         if not keep.any():
             continue  # every row of this video was skipped
-        lines, frames, rows = lines[keep], frames[keep], rows[keep]
-        late = np.flatnonzero(frames[1:] <= frames[:-1]) + 1
-        if late.size:
-            t = late[0]
-            raise SchemaError(
-                f"video {video_id!r}: frame {frames[t]} not after frame {frames[t - 1]}",
-                spath,
-                int(lines[t]),
-            )
+        if not keep.all():
+            lines, frames, rows = lines[keep], frames[keep], rows[keep]
+        for t in np.flatnonzero(frames[1:] <= frames[:-1])[:1].tolist():
+            raise SchemaError(f"video {video_id!r}: frame {frames[t + 1]} not after frame {frames[t]}",
+                              spath, int(lines[t + 1]))
         out[video_id] = ProbStream._adopt(frames, tables[width][rows], "temporal")
     return out
 

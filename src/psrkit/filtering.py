@@ -192,32 +192,27 @@ class FilterState:
         self.last_kind = [None] * self.procedure.n_components
 
 
-def _emit(state: FilterState, frame: int) -> tuple[list[StepEvent], bool]:
+def _emit(state: FilterState, frame: int) -> list[StepEvent]:
     """Emit every eligible step whose accumulator reached the threshold.
 
     Crossings emit in ascending step index and reset their accumulator, and
-    eligibility updates from those emissions apply immediately. Returns the
-    events and whether a crossing is left at or above the threshold: one
-    held back as ineligible, or a reset one under a threshold within
-    EMIT_TOL of zero.
+    eligibility updates from those emissions apply immediately.
     """
     proc = state.procedure
     acc = state.accumulators
     floor = state.threshold - EMIT_TOL
     if acc.max(initial=0.0) < floor:  # accumulators are >= 0; there may be no steps
-        return [], False
+        return []
     emitted: list[StepEvent] = []
-    held = floor <= 0.0
     for k in np.flatnonzero(acc >= floor).tolist():
         action = proc.actions[k]
         component, kind = proc.effect(action)
         if state.last_kind[component] == kind:
-            held = True  # already recognized; wait for the opposing event
-            continue
+            continue  # already recognized; wait for the opposing event
         emitted.append(proc.make_event(action, frame))
         state.last_kind[component] = kind
         acc[k] = 0.0
-    return emitted, held
+    return emitted
 
 
 def filter_step(
@@ -241,7 +236,7 @@ def filter_step(
     probs = np.fromiter(frame.probs, np.float64, state.procedure.n_steps)
     acc = state.accumulators
     state.accumulators = np.where(probs > state.evidence_floor, acc + probs, acc * state.decay)
-    emitted, _ = _emit(state, frame.frame)
+    emitted = _emit(state, frame.frame)
     state.last_frame = frame.frame
     return state, emitted
 
@@ -279,6 +274,7 @@ def filter_stream(
     others[top_step, np.arange(rows.size)] = 0.0
     second, top_step = others.max(axis=0, initial=0.0).tolist(), top_step.tolist()
     effects = list(map(proc.action_effects.__getitem__, proc.actions))
+    silent = None  # made at the first silent run to decay: row 0 takes the accumulators, 256 rows decay them
     acc = state.accumulators = np.array(state.accumulators, dtype=np.float64)
     events: list[StepEvent] = []
 
@@ -288,7 +284,7 @@ def filter_stream(
     def settle(frame: int) -> float:  # the bound tightened; `_emit` if it still reaches T
         nonlocal is_open
         bound = max(compress(acc.tolist(), is_open), default=0.0)
-        if bound >= floor and (emitted := _emit(state, frame)[0]):
+        if bound >= floor and (emitted := _emit(state, frame)):
             events.extend(emitted)
             is_open = opened()
             bound = max(compress(acc.tolist(), is_open), default=0.0)
@@ -303,12 +299,14 @@ def filter_stream(
             if record is not None:
                 record[t] = acc
             t += 1
-        if t < e and not zero:  # the rest of a silent run, in bulk; 0.0 * decay is 0.0
-            run = np.full((e - t + 1, n_steps), decay)
-            run[0] = acc
-            if record is not None:
-                record[t:e] = np.multiply.accumulate(run, axis=0)[1:]
-            np.multiply.reduce(run, axis=0, out=acc)  # row by row, in order, as the fold multiplies
+        if t < e and not zero:  # the rest of a silent run in bulk, 256 rows at a time; 0.0 * decay is 0.0
+            silent = np.full((257, n_steps), decay) if silent is None else silent
+            for lo in range(t, e, 256):
+                run = silent[:min(e - lo, 256) + 1]
+                run[0] = acc
+                if record is not None:
+                    record[lo:lo + len(run) - 1] = np.multiply.accumulate(run, axis=0)[1:]
+                np.multiply.reduce(run, axis=0, out=acc)  # row by row, in order, as the fold multiplies
         elif t < e and record is not None:
             record[t:e] = 0.0
         if e == n:

@@ -76,6 +76,20 @@ class TestEvaluateCommand:
         assert (tmp_path / "report.csv").exists()
         assert "pos=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("extra", [[], ["--csv", "./r.csv"]])
+    def test_csv_over_the_report_is_a_usage_error(self, tmp_path, capsys, monkeypatch, extra):
+        """`--out r.csv` would have its report overwritten by the default CSV
+        (`<out>` with suffix .csv), and so would an explicit `--csv` naming it."""
+        gt = {"v": seq_of([(0, 100)], video_id="v")}
+        labels = write_labels(tmp_path / "gt.jsonl", gt)
+        out = tmp_path / "r.csv"
+        monkeypatch.chdir(tmp_path)
+        assert main(["evaluate", "--labels", labels, "--predictions", labels,
+                     "--out", str(out), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "--csv" in err and "--out" in err
+        assert not out.exists()
+
     def test_composition_fixture_csv(self, tmp_path):
         gt = {"v": seq_of([(0, 100), (1, 200)], video_id="v")}
         pred = {"v": seq_of([(0, 120), (2, 150)], video_id="v")}
@@ -396,6 +410,18 @@ class TestRecognizeCommand:
         lines = series.read_text().splitlines()
         assert lines[0] == "video_id,frame,step,action,prob,accumulator"
         assert len(lines) > 1
+
+    def test_series_over_the_predictions_is_a_usage_error(self, tmp_path, capsys):
+        toy = toy_motorcycle()
+        stream = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream(
+            {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}, stream)
+        out = tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(stream), "--procedure", "toy-motorcycle",
+                     "--out", str(out), "--series-out", str(tmp_path / "." / "p.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert "--series-out" in err and "--out" in err
+        assert not out.exists()
 
 
 class TestSimulateCommand:

@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import io
 import json
 import math
 import re
@@ -199,20 +201,60 @@ def _edit_cells(line, edit):
     return f'{head}"probs":[{",".join(edit(cells.split(",") if cells else []))}]{tail}'
 
 
+def _edit_frame(line, text):
+    """A canonical line whose frame value text is `text`."""
+    return re.sub(r'"frame":[0-9]+', lambda _: f'"frame":{text}', line, count=1)
+
+
+def _second_probs(line):
+    """The line with a second `probs` after the first, its first cell 0.5: JSON keeps the last."""
+    cells = line.partition('"probs":[')[2].partition("]")[0].split(",")
+    return line.replace('],"video_id"', '],"probs":[' + ",".join(["0.5", *cells[1:]]) + '],"video_id"', 1)
+
+
+def _among_zeros(token):
+    """An edit that makes the middle cell `token` and every other cell `0.0`."""
+    return lambda c: [*["0.0"] * (len(c) // 2), token, *["0.0"] * ((len(c) - 1) // 2)]
+
+
+# Corruptions shared by both streams: a character at which `splitlines`
+# breaks a line, raw in a video id, frames JSON refuses, and a frame text
+# that holds two integers.
+LINE_CORRUPTIONS = {
+    **{f"raw U+{ord(char):04X} in video id": lambda line, char=char: [
+        line.replace('"video_id":"', '"video_id":"' + char, 1)] for char in "\u2028\x85"},
+    "frame with a leading zero": lambda line: [_edit_frame(line, f'0{json.loads(line)["frame"]}')],
+    "frame in Arabic-Indic digits": lambda line: [_edit_frame(line, "\u0663")],
+    "frame with a comma": lambda line: [_edit_frame(line, "1,2")],
+}
+
 # One line's corruptions, as the lines that replace it: a bad probability in
 # the first cell, a wrong width, a frame that is not an integer, a repeated
-# frame, broken JSON, a blank line before it, or a layout other than the
-# writer's.
+# frame, broken JSON, a blank line before it, a layout other than the
+# writer's, a line break inside `probs`, a second `probs` in one line (also
+# one whose next line has none), and cells that are zero but not `0.0`.
 CORRUPTIONS = {
     **{f"first cell {token}": lambda line, token=token: [_edit_cells(line, lambda c: [token, *c[1:]])]
        for token in ("1.5", "NaN", "true", "1e999")},
     "wider": lambda line: [_edit_cells(line, lambda c: [*c, "0.5"])],
     "narrower": lambda line: [_edit_cells(line, lambda c: c[:-1])],
+    "empty probs": lambda line: [_edit_cells(line, lambda c: [])],
     "float frame": lambda line: [line.replace(',"probs"', '.0,"probs"', 1)],
+    "frame 2**63": lambda line: [_edit_frame(line, str(2**63))],
     "repeated frame": lambda line: [line, line],
     "broken JSON": lambda line: [line[:-1]],
     "blank line": lambda line: ["", line],
     "spaced": lambda line: [reencode(json.loads(line), "spaced")],
+    **{f"{name} between cells": lambda line, char=char: [  # before the first cell, or the second
+        _edit_cells(line, lambda c: [*c[:-1], char + c[-1]] if len(c) < 2 else [c[0], char + c[1], *c[2:]])]
+       for name, char in (("\\n", "\n"), ("\\r", "\r"))},
+    "second probs": lambda line: [_second_probs(line)],
+    "second probs, then a line with none": lambda line: [
+        line + ',"probs":[' + str(json.loads(line)["frame"] + 1),
+        '{"frame":' + line.partition(',"probs":[')[2]],
+    **{f"cell {token} among 0.0": lambda line, token=token: [_edit_cells(line, _among_zeros(token))]
+       for token in ("-0.0", "0.00", "0e0")},
+    **LINE_CORRUPTIONS,
 }
 
 
@@ -247,6 +289,7 @@ STATE_CORRUPTIONS = {
     "blank line": lambda line: ["", line],
     "spaced": lambda line: [reencode_state(json.loads(line), "spaced")],
     "escaped video id": lambda line: [reencode_state(json.loads(line), "escaped")],
+    **LINE_CORRUPTIONS,
 }
 
 
@@ -289,7 +332,8 @@ class TestStreamCodecs:
         """A canonical state stream with one corrupted line gives what the
         same file gives with every line re-encoded, and so read record by
         record: in strict mode the same error text on the same line; in
-        lenient mode the same detections and warnings."""
+        lenient mode the same detections and warnings. Lines are those that
+        `splitlines` gives, as the record reader reads them."""
         ids = st.text(string.ascii_letters + '_-"\\é', min_size=1, max_size=6)
         dets = draw_state_streams(data, toy, ids)
         path = tmp_path / "asd.jsonl"
@@ -305,9 +349,10 @@ class TestStreamCodecs:
                 return line  # broken or blank: the same text in both files
             return reencode_state(rec, data.draw(st.sampled_from(["spaced", "reordered", "escaped"])))
 
+        text = "\n".join([header, *lines]) + "\n"
         outcomes = []
-        for text_lines in (lines, list(map(re_encoded, lines))):
-            path.write_text("\n".join([header, *text_lines]) + "\n")
+        for text in (text, "\n".join([header, *map(re_encoded, text.splitlines()[1:])]) + "\n"):
+            path.write_text(text)
             for strict in (True, False):
                 caplog.clear()
                 try:
@@ -420,13 +465,17 @@ class TestStreamCodecs:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_one_bad_line_reads_as_every_line_re_encoded(self, tmp_path, caplog, kind, data):
+    def test_one_bad_line_reads_as_every_line_re_encoded(self, tmp_path, caplog, monkeypatch,
+                                                         kind, data):
         """A canonical file with one corrupted line gives what the same file
         gives with every line re-encoded, and so read record by record: in
         strict mode the same error text, naming the same file and line; in
-        lenient mode the same streams and warnings. The videos share a width
-        and their ids seldom need escapes, so that most uncorrupted files are
-        read in whole-file passes."""
+        lenient mode the same streams and warnings. Lines are those that
+        `splitlines` gives, as the record reader reads them. The videos share
+        a width and their ids seldom need escapes, so that most uncorrupted
+        files are read in whole-text passes, which decode rows whole or only
+        their cells other than `0.0`, as drawn."""
+        monkeypatch.setattr(fileio, "_WHOLE_ROW_CHARS", data.draw(st.sampled_from([0, math.inf])))
         ids = st.text(string.ascii_letters + '_-"\\é', min_size=1, max_size=6)
         streams = draw_temporal_streams(data, ids, st.just(data.draw(st.integers(1, 5))))
         path = tmp_path / "t.jsonl"
@@ -445,9 +494,10 @@ class TestStreamCodecs:
                 return reencode(rec, "reordered")  # "integers" would make true a 1
             return reencode(rec, data.draw(st.sampled_from(styles)))
 
+        text = "\n".join([header, *lines]) + "\n"
         outcomes = []
-        for text_lines in (lines, list(map(re_encoded, lines))):
-            path.write_text("\n".join([header, *text_lines]) + "\n")
+        for text in (text, "\n".join([header, *map(re_encoded, text.splitlines()[1:])]) + "\n"):
+            path.write_text(text)
             for strict in (True, False):
                 caplog.clear()
                 try:
@@ -641,6 +691,35 @@ class TestStreamCodecs:
         fileio.serialize_labels({"v": seq_of([(0, 1)])}, labels)
         with pytest.raises(SchemaError, match="not a recognized stream schema"):
             fileio.parse_stream(labels, toy)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_parse_stream_reads_a_file_once(self, toy, tmp_path, monkeypatch, newline):
+        """A file led by a header in the writer's layout is opened once; any
+        other first line is read by `peek_schema` too, so that a file of CRLF
+        line ends is read, and one of CR line ends has no JSON first line."""
+        dets = {"v": [StateDetection(frame=5, state=toy.states[1], confidence=0.9)]}
+        stream = ProbStream([0, 3], [[0.5] * 34, [0.0] * 34], "temporal")
+        opened, io_open = [], io.open
+
+        def counted(file, *args, **kwargs):
+            opened.append(file)
+            return io_open(file, *args, **kwargs)
+
+        for write, data in ((fileio.serialize_asd_stream, dets),
+                            (fileio.serialize_temporal_stream, {"v": stream})):
+            path = tmp_path / "stream.jsonl"
+            write(data, path)
+            path.write_bytes(path.read_bytes().replace(b"\n", newline.encode()))
+            opened.clear()
+            monkeypatch.setattr(io, "open", counted)  # as pathlib opens a file
+            monkeypatch.setattr(builtins, "open", counted)
+            if newline == "\r":
+                with pytest.raises(SchemaError, match="not a recognized stream schema: None"):
+                    fileio.parse_stream(path, toy)
+            else:
+                assert fileio.parse_stream(path, toy)[1] == data
+                assert len(opened) == (1 if newline == "\n" else 2)
+            monkeypatch.undo()
 
 
 class TestProcedureCodec:

@@ -293,6 +293,17 @@ class TestFilterStream:
             recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
 
+    @pytest.mark.parametrize("decay", [0.999, 1.0])
+    def test_silent_runs_longer_than_a_block_equal_frame_fold(self, decay):
+        """Silent runs of 255, 256, 686 and 299 rows decay 256 rows at a time,
+        bitwise as the fold, with and without a record and across cuts."""
+        rows = [[0.0] * 6 for _ in range(1500)]
+        for t in (0, 256, 513, 1200):
+            rows[t] = [0.3, 0.0, 0.0, 0.1, 0.0, 0.0]
+        for cuts in ((), (300, 1000)):
+            check_against_fold(list(range(1500)), rows, threshold=5.0, decay=decay, floor=0.0,
+                               cuts=cuts, per_frame=(False,) * 3, recorded=(True, False, True))
+
     def test_held_crossing_emits_on_a_silent_frame(self):
         # Step 0 (install a) is held at frames 1 and 2; the remove of a at
         # frame 2 reopens it, and frame 3 carries no evidence at all.
@@ -596,6 +607,22 @@ class TestFuse:
         by_frame = [fuse(x, y).probs for x, y in zip(a, b)]
         assert fused.probs.tobytes() == np.array(by_frame).tobytes()
         assert fuse_streams(b, a).probs.tobytes() == fused.probs.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_stream_fusion_is_the_frame_fold_bit_for_bit(self, data):
+        """Signed zeros included: a state row of +0.0 cells turns a temporal
+        -0.0 into +0.0, while a -0.0 state cell keeps a -0.0 half as it is."""
+        n_frames, n_steps = data.draw(st.integers(0, 10)), data.draw(st.integers(0, 4))
+        row = st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), min_size=n_steps, max_size=n_steps)
+        state_row = st.just([0.0] * n_steps) | row
+        frames = np.arange(n_frames) + data.draw(st.integers(0, 3))
+        a = ProbStream(frames, np.reshape([data.draw(state_row) for _ in frames], (n_frames, n_steps)),
+                       "asd")
+        b = ProbStream(frames, np.reshape([data.draw(row) for _ in frames], (n_frames, n_steps)),
+                       "temporal")
+        by_frame = np.reshape([fuse(x, y).probs for x, y in zip(a, b)], (n_frames, n_steps))
+        assert fuse_streams(a, b).probs.tobytes() == by_frame.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())

@@ -2,9 +2,11 @@
 
 Each config runs `simulate`, then `recognize` three ways (`--fuse`,
 `--fuse --series-out`, temporal-only `--lenient`), then `evaluate` on each
-prediction file, through `cli.main` inside a temporary directory with
-relative paths. The sha256 of every file written, and of each call's exit
-code and stdout, must equal `golden_digests.json`.
+prediction file and `validate` on both streams, through `cli.main` inside a
+temporary directory with relative paths. Two more `validate` calls read a
+stream that is not UTF-8 and one whose first line is not a header. The
+sha256 of every file written, and of each call's exit code and stdout (and
+its stderr, when it writes any), must equal `golden_digests.json`.
 
 After a change that is meant to alter outputs, regenerate the file with
 `PYTHONPATH=src python tests/test_golden.py` and say why in the change.
@@ -61,8 +63,11 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+INPUTS = ("config.json", "not_utf8.jsonl", "headless.jsonl")  # written here, not by the CLI
+
+
 def round_trip_digests(directory: Path, doc: dict) -> dict[str, str]:
-    """The digest of every file and every call's (exit code, stdout), by name."""
+    """The digest of every file and every call's (exit code, stdout, stderr), by name."""
     directory.mkdir(parents=True, exist_ok=True)
     (directory / "config.json").write_text(json.dumps(doc), encoding="utf-8")
     calls = {"simulate": ["simulate", "--config", "config.json", "--out", "sim"]}
@@ -73,19 +78,31 @@ def round_trip_digests(directory: Path, doc: dict) -> dict[str, str]:
         calls[f"evaluate {stem}"] = ["evaluate", "--labels", "sim/gt_labels.jsonl",
                                      "--predictions", f"{stem}.jsonl",
                                      "--out", f"{stem}_report.json"]
+    validate = ["validate", "--procedure", "toy-motorcycle", "--streams"]
+    calls["validate"] = [*validate, "sim/asd_stream.jsonl", "sim/temporal_stream.jsonl"]
+    calls["validate not_utf8"] = [*validate, "not_utf8.jsonl"]
+    calls["validate headless"] = [*validate, "headless.jsonl"]
     digests = {}
     previous = os.getcwd()
     os.chdir(directory)
     try:
         for name, argv in calls.items():
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            if name == "validate not_utf8":  # the temporal stream with a bad byte on line 3
+                lines = Path("sim/temporal_stream.jsonl").read_bytes().split(b"\n")
+                lines[2] = lines[2].replace(b"video_id", b"video\xffid")
+                Path("not_utf8.jsonl").write_bytes(b"\n".join(lines))
+            elif name == "validate headless":  # the state stream without its header
+                Path("headless.jsonl").write_bytes(
+                    Path("sim/asd_stream.jsonl").read_bytes().partition(b"\n")[2])
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main(argv)
-            digests[f"call {name}"] = _sha(f"{code}\n{out.getvalue()}".encode())
+            text = f"{code}\n{out.getvalue()}" + (f"\n{err.getvalue()}" if err.getvalue() else "")
+            digests[f"call {name}"] = _sha(text.encode())
     finally:
         os.chdir(previous)
     for path in sorted(directory.rglob("*")):
-        if path.is_file() and path.name != "config.json":
+        if path.is_file() and path.name not in INPUTS:
             digests[path.relative_to(directory).as_posix()] = _sha(path.read_bytes())
     return digests
 
