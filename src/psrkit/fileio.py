@@ -15,7 +15,6 @@ import json
 import logging
 import re
 import sys
-from array import array
 from itertools import repeat
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -347,8 +346,8 @@ _ASD_LINES = re.compile(
     rf'"video_id":{_VIDEO_ID_TEXT}\}}$', re.MULTILINE)
 
 
-def _writer_layout_detections(text: str, states_by_id: dict) -> tuple | None:
-    """Line numbers, video ids, frames and detections of a file in the writer's
+def _writer_layout_detections(text: str, states_by_id: dict) -> Iterable[tuple] | None:
+    """The (line number, video id, detection) rows of a file in the writer's
     layout, by one multiline findall. None if a line is in another layout or
     fails a check: `_collect` then reads the file and names each error where it is."""
     records = _ASD_LINES.findall(text)  # one per line after the header, unless a line is in another layout
@@ -360,7 +359,7 @@ def _writer_layout_detections(text: str, states_by_id: dict) -> tuple | None:
     if not in_unit_interval(list(confidence_of.values())) or None in state_of.values():
         return None
     frames = json.loads(f"[{','.join(frames)}]")
-    return range(2, len(frames) + 2), video_ids, frames, list(map(
+    return zip(range(2, len(frames) + 2), video_ids, map(
         _detection, frames, map(state_of.__getitem__, states), map(confidence_of.__getitem__, confidences)))
 
 
@@ -383,23 +382,20 @@ def parse_asd_stream(
         if state_id not in states_by_id:
             raise SchemaError(f"unknown state_id {state_id!r}; known ids: {sorted(states_by_id)}",
                               spath, lineno)
-        return lineno, video_id, frame, StateDetection(frame, states_by_id[state_id], float(confidence))
+        return lineno, video_id, StateDetection(frame, states_by_id[state_id], float(confidence))
 
     text = _read_text(path) if text is None else text
-    columns = _writer_layout_detections(text, states_by_id)
-    if columns is None:
-        columns = tuple(zip(*_collect(path, ASD_SCHEMA, parse_one, strict, text=text)[1])) or ((),) * 4
-    lines, video_ids, frames, dets = columns
-    at: dict[str, list[int]] = {}  # per video its rows
-    for i, video_id in enumerate(video_ids):
-        at.setdefault(video_id, []).append(i)
-    frames = np.array(frames, np.int64)
-    late = [(rows[t + 1], rows[t]) for rows in at.values()
-            for t in np.flatnonzero(np.diff(frames[rows]) <= 0)[:1].tolist()]
-    for i, previous in sorted(late)[:1]:  # the first such line in the file
-        raise SchemaError(f"video {video_ids[i]!r}: frame {frames[i]} not after frame {frames[previous]}",
-                          spath, lines[i])
-    return {video_id: list(map(dets.__getitem__, rows)) for video_id, rows in at.items()}
+    rows = _writer_layout_detections(text, states_by_id)
+    if rows is None:
+        rows = _collect(path, ASD_SCHEMA, parse_one, strict, text=text)[1]
+    out: dict[str, list[StateDetection]] = {}
+    for lineno, video_id, det in rows:  # in file order, so the first late frame is the file's first
+        dets = out.setdefault(video_id, [])
+        if dets and det.frame <= dets[-1].frame:
+            raise SchemaError(f"video {video_id!r}: frame {det.frame} not after frame {dets[-1].frame}",
+                              spath, lineno)
+        dets.append(det)
+    return out
 
 
 def parse_stream(
@@ -458,9 +454,6 @@ def serialize_temporal_stream(streams: Mapping[str, ProbStream], path: str | Pat
 # `_PROBS_END` and a video id as `_VIDEO_ID_TEXT` allows.
 _LINE_START, _PROBS_START, _PROBS_END = '\n{"frame":', ',"probs":[', '],"video_id":'
 _TAIL = re.compile(rf'\],"video_id":{_VIDEO_ID_TEXT}\}}')
-# Rows are decoded whole from this many characters per cell: `0.0,` has 4, a
-# written probability about 20, so about a quarter of other cells (34 steps).
-_WHOLE_ROW_CHARS = 8
 _ZERO_WORD = int.from_bytes(b"0.0,", "little")  # a `0.0` cell and its comma, read as "<u4"
 
 
@@ -471,37 +464,30 @@ def _unit_numbers(probs: list) -> bool:
 
 
 def _float_cells(texts: list[str], width: int) -> np.ndarray | None:
-    """The cells of `texts`, `width` comma-separated JSON floats each, as one array: of mostly `0.0`
-    cells only the others are decoded, else rows whole. None if a cell is no float or breaks a line."""
-    other = np.ones(n := len(texts) * width, bool)  # the cells to decode
-    if sum(map(len, texts)) + len(texts) < _WHOLE_ROW_CHARS * n:
-        data = f"{','.join(texts)},...".encode()  # 3 bytes past the last comma
-        text = np.frombuffer(data, np.uint8, len(data) - 3)
-        ends = np.flatnonzero(text == ord(","))  # one per cell, after it
-        sizes = np.diff(ends, prepend=-1)  # each cell's, with its comma
-        other = np.ndarray(len(text), "<u4", data, strides=(1,))[ends - sizes + 1] != _ZERO_WORD
-        texts = [text[np.repeat(other, sizes)].tobytes()[:-1].decode()]
-    flat = array("d")
-    for start in range(0, len(texts), _EVIDENCE_BLOCK):  # a block of rows per JSON parse
-        block = ",".join(texts[start:start + _EVIDENCE_BLOCK])
-        try:  # floats only, so each text holds one more value than it has commas
-            values = json.loads(f"[{block}]")
-        except (ValueError, RecursionError):
-            return None
-        if "\n" in block or set(map(type, values)) - {float}:  # JSON whitespace, but a line break
-            return None
-        flat.extend(values)
-    if len(other) != n or len(flat) != np.count_nonzero(other):
-        return None  # a blank cell is no value
-    cells = np.zeros(n)
-    cells[other] = flat
+    """The rows `texts`, `width` comma-separated JSON floats each, as a `(rows, width)` array:
+    only the cells other than `0.0` are decoded. None if a cell is no float or breaks a line."""
+    data = f"{','.join(texts)},...".encode()  # 3 bytes past the last comma
+    text = np.frombuffer(data, np.uint8, len(data) - 3)
+    ends = np.flatnonzero(text == ord(","))  # one per cell, after it
+    sizes = np.diff(ends, prepend=-1)  # each cell's, with its comma
+    other = np.ndarray(len(text), "<u4", data, strides=(1,))[ends - sizes + 1] != _ZERO_WORD
+    block = text[np.repeat(other, sizes)].tobytes()[:-1].decode()
+    try:  # floats only, so the text holds one more value than it has commas
+        values = json.loads(f"[{block}]")
+    except (ValueError, RecursionError):
+        return None
+    if ("\n" in block or set(map(type, values)) - {float}  # JSON whitespace, but a line break
+            or len(other) != len(texts) * width or len(values) != np.count_nonzero(other)):
+        return None  # a row of another width, or a blank cell
+    cells = np.zeros((len(texts), width))
+    cells.reshape(-1)[other] = values
     return cells
 
 
-def _writer_layout_rows(text: str, n_steps: int | None) -> tuple[dict, dict] | None:
-    """The distinct rows of a file in the writer's layout, by width, and per video its (width, line
-    numbers, frames, row indices), in whole-text passes. None if a line is in another layout, holds
-    other than floats or differs in width: `_collect` then reads the file record by record."""
+def _writer_layout_rows(text: str, n_steps: int | None) -> dict | None:
+    """Per video of a file in the writer's layout its (line numbers, frames, probs array), in
+    whole-text passes. None if a line is in another layout, holds other than floats or differs
+    in width: `_collect` then reads the file record by record."""
     header, *lines = map(str.partition, text.split(_LINE_START), repeat(_PROBS_START))
     frames = ",".join(map(itemgetter(0), lines))  # one comma fewer than lines, unless a frame holds one
     if (header[0] != _TEMPORAL_HEADER or header[1] or frames.count(",") >= len(lines)
@@ -517,18 +503,15 @@ def _writer_layout_rows(text: str, n_steps: int | None) -> tuple[dict, dict] | N
     keys = np.fromiter(map(key_of.__getitem__, rests), np.intp, len(rests))
     split = [rest.rpartition(_PROBS_END) for rest in key_of]
     del lines, rests, key_of  # of the lines, only the split distinct rests are kept
-    distinct = list(dict.fromkeys(probs_text for probs_text, _, _ in split))
+    texts = [probs_text for probs_text, _, _ in split]
     tails = [_TAIL.fullmatch(end + tail) for _, end, tail in split]
-    width = max(map(str.count, distinct, repeat(","))) + 1  # the cell count checks it is every row's
-    if None in tails or n_steps not in (None, width) or (flat := _float_cells(distinct, width)) is None:
+    width = max(map(str.count, texts, repeat(","))) + 1  # the cell count checks it is every row's
+    if None in tails or n_steps not in (None, width) or (probs := _float_cells(texts, width)) is None:
         return None
-    row_of = {probs_text: row for row, probs_text in enumerate(distinct)}
     code_of = {video_id: code for code, video_id in enumerate(dict.fromkeys(m[1] for m in tails))}
-    rows = np.array([row_of[probs_text] for probs_text, _, _ in split])[keys]
     codes = np.array([code_of[m[1]] for m in tails])[keys]
     at = {video_id: np.flatnonzero(codes == code) for video_id, code in code_of.items()}
-    return ({width: flat.reshape(len(distinct), width)},
-            {video_id: (width, i + 2, frames[i], rows[i]) for video_id, i in at.items()})
+    return {video_id: (i + 2, frames[i], probs[keys[i]]) for video_id, i in at.items()}
 
 
 def parse_temporal_stream(
@@ -540,13 +523,13 @@ def parse_temporal_stream(
     """One "temporal" stream per video, from the file or its `text` when
     already read. Every row of a video has the same length: `n_steps` if
     given, else that of the video's first row. A file in the writer's layout
-    is read in whole-text passes; any other file record by record."""
+    is read in whole-text passes; any other file record by record. A strict
+    read names the first bad line in the file."""
     spath = str(path)
     text = _read_text(path) if text is None else text
     read = _writer_layout_rows(text, n_steps)
     if read is None:
         width_of: dict[str, int] = {}
-        tables: dict[int, list] = {}  # width -> [its rows end to end, their count]
 
         def parse_one(rec: dict, lineno: int):
             video_id, frame, probs = _record(rec, _TEMPORAL_FIELDS, spath, lineno)
@@ -556,35 +539,33 @@ def parse_temporal_stream(
                                   spath, lineno)
             if not _unit_numbers(probs):
                 raise SchemaError(f"frame {frame}: probabilities outside [0, 1]", spath, lineno)
-            table = tables.setdefault(width, [array("d"), 0])
-            table[0].extend(probs)
-            table[1] += 1
-            return video_id, (lineno, frame, table[1] - 1)
+            return video_id, (lineno, frame, probs)
 
         grouped: dict[str, list] = {}
         for video_id, record in _collect(path, TEMPORAL_SCHEMA, parse_one, strict, text=text)[1]:
             grouped.setdefault(video_id, []).append(record)
-        read = ({width: np.frombuffer(flat).reshape(n, width) for width, (flat, n) in tables.items()},
-                {video_id: (width_of[video_id], *map(np.array, zip(*records)))
-                 for video_id, records in grouped.items()})
-    tables, by_video = read
-    in_range = {width: ((rows >= 0.0) & (rows <= 1.0)).all(axis=1) for width, rows in tables.items()}
-    out = {}
-    for video_id, (width, lines, frames, rows) in by_video.items():
-        keep = in_range[width][rows]
+        read = {}
+        for video_id, records in grouped.items():
+            lines, frames, probs = zip(*records)
+            read[video_id] = np.array(lines), np.array(frames, np.int64), np.array(probs, np.float64)
+    out, errors = {}, []  # errors: each video's first
+    for video_id, (lines, frames, probs) in read.items():
+        keep = ((probs >= 0.0) & (probs <= 1.0)).all(axis=1)
         for t in np.flatnonzero(~keep).tolist():
             err = SchemaError(f"frame {frames[t]}: probabilities outside [0, 1]", spath, int(lines[t]))
             if strict:
-                raise err
+                errors.append(err)
+                break
             log.warning("skipping bad record: %s", err)
-        if not keep.any():
-            continue  # every row of this video was skipped
-        if not keep.all():
-            lines, frames, rows = lines[keep], frames[keep], rows[keep]
+        if not (strict or keep.all()):
+            lines, frames, probs = lines[keep], frames[keep], probs[keep]
         for t in np.flatnonzero(frames[1:] <= frames[:-1])[:1].tolist():
-            raise SchemaError(f"video {video_id!r}: frame {frames[t + 1]} not after frame {frames[t]}",
-                              spath, int(lines[t + 1]))
-        out[video_id] = ProbStream._adopt(frames, tables[width][rows], "temporal")
+            errors.append(SchemaError(f"video {video_id!r}: frame {frames[t + 1]} not after "
+                                      f"frame {frames[t]}", spath, int(lines[t + 1])))
+        if len(frames):  # unless every row of this video was skipped
+            out[video_id] = ProbStream._adopt(frames, probs, "temporal")
+    if errors:
+        raise min(errors, key=attrgetter("line"))
     return out
 
 

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import AlignmentError, StreamOrderError, StructureError
-from .procedure import EventSequence, Procedure, StepEvent
+from .procedure import EventSequence, Procedure, StepEvent, check_frame
 
 STREAM_IDS = ("asd", "temporal", "fused")
 
@@ -58,8 +58,8 @@ class ConfidenceFrame:
     def __post_init__(self):
         probs = tuple(map(float, self.probs))
         object.__setattr__(self, "probs", probs)
-        if self.frame < 0:
-            raise StructureError(f"frame must be non-negative, got {self.frame}")
+        if type(self.frame) is not int or self.frame < 0:  # the common case without a call
+            check_frame(self.frame)
         if not in_unit_interval(probs):
             raise ValueError(f"probabilities outside [0, 1] at frame {self.frame}")
 

@@ -9,6 +9,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import groupby, takewhile
 from operator import attrgetter
@@ -21,6 +22,14 @@ ActionId = int
 INSTALL = "install"
 REMOVE = "remove"
 KINDS = (INSTALL, REMOVE)
+
+
+def check_frame(frame: int) -> None:
+    """A frame index is a non-negative integer, Python or numpy; a bool is none."""
+    if type(frame) is not int and (not isinstance(frame, numbers.Integral) or isinstance(frame, bool)):
+        raise StructureError(f"frame must be an integer, got {frame!r}")
+    if frame < 0:
+        raise StructureError(f"frame must be non-negative, got {frame}")
 
 
 def _check_fps(fps: float) -> None:
@@ -94,8 +103,7 @@ class StepEvent:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructureError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if self.frame < 0:
-            raise StructureError(f"frame must be non-negative, got {self.frame}")
+        check_frame(self.frame)
         if self.component < 0:
             raise StructureError(f"component must be non-negative, got {self.component}")
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import StreamOrderError, StructureError, UnknownTransitionError
 from .filtering import ProbStream
-from .procedure import ActionId, AssemblyState, Procedure
+from .procedure import ActionId, AssemblyState, Procedure, check_frame
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,7 @@ class StateDetection:
     confidence: float
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise StructureError(f"frame must be non-negative, got {self.frame}")
+        check_frame(self.frame)
         if not 0.0 <= self.confidence <= 1.0:
             raise StructureError(
                 f"confidence must be in [0, 1], got {self.confidence}"

@@ -310,15 +310,13 @@ class TestStreamCodecs:
     @given(data=st.data())
     def test_state_writer_is_canonical_dumps(self, toy, tmp_path, data):
         """Byte for byte one canonical JSON object per record, also for
-        confidences and frames that are not floats and ints."""
+        confidences that are not floats."""
         dets = draw_state_streams(data, toy)
         odd = st.sampled_from([0, 1, True, np.float64(0.25)])
         for video_dets in dets.values():
             if data.draw(st.booleans()):
                 det = video_dets[0]
                 video_dets[0] = StateDetection(det.frame, det.state, data.draw(odd))
-        if data.draw(st.booleans()):
-            dets.setdefault("v", []).insert(0, StateDetection(True, toy.states[1], 0.5))
         path = tmp_path / "asd.jsonl"
         fileio.serialize_asd_stream(dets, path)
         assert path.read_bytes() == state_stream_text(dets).encode()
@@ -465,17 +463,14 @@ class TestStreamCodecs:
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_one_bad_line_reads_as_every_line_re_encoded(self, tmp_path, caplog, monkeypatch,
-                                                         kind, data):
+    def test_one_bad_line_reads_as_every_line_re_encoded(self, tmp_path, caplog, kind, data):
         """A canonical file with one corrupted line gives what the same file
         gives with every line re-encoded, and so read record by record: in
         strict mode the same error text, naming the same file and line; in
         lenient mode the same streams and warnings. Lines are those that
         `splitlines` gives, as the record reader reads them. The videos share
         a width and their ids seldom need escapes, so that most uncorrupted
-        files are read in whole-text passes, which decode rows whole or only
-        their cells other than `0.0`, as drawn."""
-        monkeypatch.setattr(fileio, "_WHOLE_ROW_CHARS", data.draw(st.sampled_from([0, math.inf])))
+        files are read in whole-text passes."""
         ids = st.text(string.ascii_letters + '_-"\\é', min_size=1, max_size=6)
         streams = draw_temporal_streams(data, ids, st.just(data.draw(st.integers(1, 5))))
         path = tmp_path / "t.jsonl"
@@ -620,6 +615,37 @@ class TestStreamCodecs:
         ])
         with pytest.raises(SchemaError, match=r":3: video 'v': frame 5 not after frame 5"):
             fileio.parse_temporal_stream(path)
+
+    @pytest.mark.parametrize("style", ["canonical", "spaced"])
+    @pytest.mark.parametrize("kind, records, error", [
+        *[pytest.param(kind, [("a", 1, 0.5), ("b", 5, 0.5), ("b", 3, 0.5), ("a", 0, 0.5)],
+                       r":4: video 'b': frame 3 not after frame 5$", id=f"{kind} order, order")
+          for kind in ("state", "temporal")],
+        pytest.param("temporal", [("a", 1, 0.5), ("b", 0, 1.5), ("a", 0, 0.5)],
+                     r":3: frame 0: probabilities outside \[0, 1\]$", id="temporal range, order"),
+    ])
+    def test_strict_read_names_the_first_bad_line_in_the_file(self, toy, tmp_path, style, kind,
+                                                              records, error):
+        """Each video has an error, and the later-listed video's is on the
+        earlier line: that line is the one named, in either layout."""
+        schema = fileio.ASD_SCHEMA if kind == "state" else fileio.TEMPORAL_SCHEMA
+        lines = [fileio.canonical_dumps({"schema": schema, "version": 1})]
+        for video_id, frame, p in records:
+            rec = ({"confidence": p, "frame": frame, "state_id": 1, "video_id": video_id}
+                   if kind == "state" else {"frame": frame, "probs": [p], "video_id": video_id})
+            lines.append(fileio.canonical_dumps(rec) if style == "canonical" else json.dumps(rec))
+        path = tmp_path / "stream.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=error):
+            fileio.parse_stream(path, toy if kind == "state" else None)
+
+    def test_probs_repeated_across_videos_read_back(self, tmp_path):
+        row = [0.25, 0.0, 1.0]
+        streams = {"a": ProbStream([0, 3], [row, [0.5, 0.0, 0.0]], "temporal"),
+                   "b": ProbStream([1, 2, 4], [[0.0] * 3, row, row], "temporal")}
+        path = tmp_path / "t.jsonl"
+        fileio.serialize_temporal_stream(streams, path)
+        assert fileio.parse_temporal_stream(path) == streams
 
     @pytest.mark.parametrize("fps", [math.nan, math.inf, -math.inf, 0, 10**400, "10"])
     def test_labels_fps_must_be_finite_positive(self, tmp_path, fps):

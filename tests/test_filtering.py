@@ -97,6 +97,12 @@ class TestFilterStep:
         with pytest.raises(StreamOrderError):
             filter_step(state, ConfidenceFrame(frame=5, probs=(0.0,) * 4))
 
+    @pytest.mark.parametrize("frame", [math.nan, math.inf, -math.inf, 1.5, 2.0, True, "3"])
+    def test_frame_must_be_an_integer(self, frame):
+        with pytest.raises(StructureError, match="frame"):
+            ConfidenceFrame(frame, (1.0,) * 4)
+        assert ConfidenceFrame(np.int64(3), (1.0,) * 4).frame == 3
+
     def test_bad_probability_rejected(self):
         with pytest.raises(ValueError):
             ConfidenceFrame(frame=0, probs=(1.2, 0.0))

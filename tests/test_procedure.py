@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -156,6 +157,14 @@ class TestEventSequence:
     def test_fps_must_be_finite_positive(self, fps):
         with pytest.raises(StructureError, match="fps"):
             EventSequence((), fps=fps)
+
+
+class TestStepEvent:
+    @pytest.mark.parametrize("frame", [math.nan, math.inf, -math.inf, 1.5, 2.0, True, "3"])
+    def test_frame_must_be_an_integer(self, frame):
+        with pytest.raises(StructureError, match="frame"):
+            StepEvent(action=0, component=0, kind=INSTALL, correct=True, frame=frame)
+        assert StepEvent(0, 0, INSTALL, True, np.int64(3)).frame == 3
 
 
 class TestProcedureValidation:

@@ -10,6 +10,7 @@ from psrkit import (
     REMOVE,
     StateDetection,
     StreamOrderError,
+    StructureError,
     UnknownTransitionError,
     asd_stream_probs,
     evaluate,
@@ -132,6 +133,12 @@ class TestAsdStreamProbs:
         )
         assert max(frames.probs[10]) == 0.0
         assert max(frames.probs[20]) == 0.9
+
+    @pytest.mark.parametrize("frame", [np.nan, np.inf, -np.inf, 1.5, 2.0, True, "3"])
+    def test_frame_must_be_an_integer(self, toy, frame):
+        with pytest.raises(StructureError, match="frame"):
+            StateDetection(frame, toy.states[1], 0.9)
+        assert StateDetection(np.int64(3), toy.states[1], 0.9).frame == 3
 
     def test_out_of_order_detections(self, toy):
         with pytest.raises(StreamOrderError):
