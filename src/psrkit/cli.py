@@ -24,12 +24,7 @@ from .errors import (
     SchemaError,
     UndefinedMetricError,
 )
-from .filtering import (  # bench/workloads.py wraps filter_step here by name
-    ProbStream,
-    filter_step,  # noqa: F401
-    fuse_streams,
-    run_filter,
-)
+from .filtering import FilterState, ProbStream, filter_step, fuse_streams, run_filter
 from .metrics import aggregate, evaluate
 from .procedure import EventSequence
 from .sampling import clip_indices, kcas_pmf, kfs_batch, sample_clip_ends
@@ -170,16 +165,16 @@ def _densify(stream: ProbStream | None, video_len: int, n_steps: int) -> ProbStr
     return ProbStream._adopt(np.arange(video_len, dtype=np.int64), probs, "temporal")
 
 
-def _series_rows(vid, stream: ProbStream, record: np.ndarray, proc):
-    """Per frame, each step that is ever positive: its prob and accumulator."""
+def _series_rows(vid, stream: ProbStream, state: FilterState):
+    """Per frame, each step that is ever positive: its prob and the accumulator
+    that folding `filter_step` from `state` over `stream` leaves after the frame."""
     active = np.flatnonzero((stream.probs > 0).any(axis=0)).tolist()
-    actions = [proc.actions[k] for k in active]
-    probs = stream.probs[:, active].tolist()
-    accs = record[:, active].tolist()
+    actions = [state.procedure.actions[k] for k in active]
+    accs = (filter_step(state, f)[0].accumulators.tolist() for f in stream)
     return [
-        (vid, frame, k, action, p, a)
-        for frame, prow, arow in zip(stream.frames.tolist(), probs, accs)
-        for k, action, p, a in zip(active, actions, prow, arow)
+        (vid, frame, k, action, p, acc[k])
+        for frame, prow, acc in zip(stream.frames.tolist(), stream.probs[:, active].tolist(), accs)
+        for k, action, p in zip(active, actions, prow)
     ]
 
 
@@ -252,15 +247,12 @@ def cmd_recognize(args) -> int:
             if asd is not None:
                 asd_probs = asd_stream_probs(dets, proc, video_len, min_confidence=args.min_confidence)
                 stream = asd_probs if stream is None else fuse_streams(asd_probs, stream)
-            record = np.empty(stream.probs.shape) if args.series_out else None
         except MemoryError:
             raise ValueError(f"video {vid!r}: {video_len} frames do not fit in memory") from None
-        predictions[vid] = run_filter(
-            stream, proc, args.threshold, args.decay, args.evidence_floor,
-            video_id=vid, record=record,
-        )
-        if record is not None:
-            series_rows.extend(_series_rows(vid, stream, record, proc))
+        filter_args = (proc, args.threshold, args.decay, args.evidence_floor)
+        predictions[vid] = run_filter(stream, *filter_args, video_id=vid)
+        if args.series_out:
+            series_rows.extend(_series_rows(vid, stream, FilterState(*filter_args)))
     fileio.serialize_labels(predictions, args.out)
     if args.series_out:
         fileio.write_series_csv(series_rows, args.series_out)

@@ -176,14 +176,14 @@ class FilterState:
     last_kind: list = field(init=False)
     last_frame: int | None = field(default=None, init=False)
 
-    def __post_init__(self):
-        if not 0.0 < self.threshold < math.inf:
+    def __post_init__(self):  # a bool compares as 0 or 1, but is no number here
+        if isinstance(self.threshold, bool) or not 0.0 < self.threshold < math.inf:
             raise ValueError(
                 f"threshold must be a positive finite number, got {self.threshold}"
             )
-        if not 0.0 < self.decay <= 1.0:
+        if isinstance(self.decay, bool) or not 0.0 < self.decay <= 1.0:
             raise ValueError(f"decay retention must be in (0, 1], got {self.decay}")
-        if not 0.0 <= self.evidence_floor < math.inf:
+        if isinstance(self.evidence_floor, bool) or not 0.0 <= self.evidence_floor < math.inf:
             raise ValueError(
                 "evidence floor must be a non-negative finite number, "
                 f"got {self.evidence_floor}"
@@ -241,17 +241,14 @@ def filter_step(
     return state, emitted
 
 
-def filter_stream(
-    state: FilterState, stream: ProbStream, record: np.ndarray | None = None
-) -> list[StepEvent]:
+def filter_stream(state: FilterState, stream: ProbStream) -> list[StepEvent]:
     """Advance the filter over every row of `stream`, returning the emitted events.
 
     Bitwise equal to folding `filter_step` over the stream's frames. Python
     work is per evidence row and per possible crossing: `_emit` runs only where
     a bound on the eligible accumulators, grown by each evidence row's largest
     add (the runner-up's if that step is held) and then tightened, reaches the
-    threshold; silent runs decay in bulk. With `record`, an array of the
-    stream's shape, row t receives the accumulators after row t.
+    threshold; silent runs decay in bulk.
     """
     n, proc = len(stream), state.procedure
     if not n:
@@ -264,10 +261,9 @@ def filter_stream(
     decay, floor = state.decay, state.threshold - EMIT_TOL
     evidence = stream.probs > state.evidence_floor
     rows = np.flatnonzero(np.bincount(np.flatnonzero(evidence) // max(n_steps, 1)))
-    # x * 1.0 + p == x + p, and x * decay + 0.0 == x * decay as no accumulator is -0.0;
-    # a -0.0 cell adds as 0.0 does, so only cells at or under a floor need zeroing
+    # x * 1.0 + p == x + p, and x * decay + 0.0 == x * decay as no accumulator is -0.0
     scale = np.where(evidence[rows], 1.0, decay)
-    add = np.where(evidence[rows], stream.probs[rows], 0.0) if state.evidence_floor else stream.probs[rows]
+    add = np.where(evidence[rows], stream.probs[rows], 0.0)
     top_step = add.argmax(axis=1) if rows.size else rows
     others = add.T.copy()
     top = others[top_step, np.arange(rows.size)].tolist()
@@ -296,19 +292,13 @@ def filter_stream(
         while t < e and bound >= floor:  # a crossing may be eligible: row by row
             acc *= decay
             bound = settle(int(frames[t]))
-            if record is not None:
-                record[t] = acc
             t += 1
         if t < e and not zero:  # the rest of a silent run in bulk, 256 rows at a time; 0.0 * decay is 0.0
             silent = np.full((257, n_steps), decay) if silent is None else silent
             for lo in range(t, e, 256):
                 run = silent[:min(e - lo, 256) + 1]
                 run[0] = acc
-                if record is not None:
-                    record[lo:lo + len(run) - 1] = np.multiply.accumulate(run, axis=0)[1:]
                 np.multiply.reduce(run, axis=0, out=acc)  # row by row, in order, as the fold multiplies
-        elif t < e and record is not None:
-            record[t:e] = 0.0
         if e == n:
             break
         acc *= scale[i]
@@ -317,8 +307,6 @@ def filter_stream(
         bound += top[i] if is_open[top_step[i]] else second[i]
         if bound >= floor:
             bound = settle(int(frames[e]))
-        if record is not None:
-            record[e] = acc
         t = e + 1
     state.last_frame = int(frames[-1])
     return events
@@ -331,12 +319,10 @@ def run_filter(
     decay: float = 0.75,
     evidence_floor: float = 0.0,
     video_id: str = "video",
-    record: np.ndarray | None = None,
 ) -> EventSequence:
     """Filter a whole ordered stream into an event sequence.
 
     Equivalent to folding `filter_step` over the stream's frames in any chunking.
-    `record` is passed on to `filter_stream`.
     """
     state = FilterState(
         procedure=proc,
@@ -344,7 +330,7 @@ def run_filter(
         decay=decay,
         evidence_floor=evidence_floor,
     )
-    events = filter_stream(state, stream, record)
+    events = filter_stream(state, stream)
     return EventSequence.from_events(events, video_id=video_id, fps=proc.fps)
 
 

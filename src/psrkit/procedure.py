@@ -103,9 +103,16 @@ class StepEvent:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise StructureError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not type(self.action) is type(self.component) is type(self.frame) is int:
+            for name in ("action", "component", "frame"):  # a numpy integer is stored as the int JSON writes
+                if not isinstance(value := getattr(self, name), numbers.Integral) or type(value) is bool:
+                    raise StructureError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         check_frame(self.frame)
         if self.component < 0:
             raise StructureError(f"component must be non-negative, got {self.component}")
+        if type(self.correct) is not bool:
+            raise StructureError(f"correct must be a boolean, got {self.correct!r}")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ same recognition filter as any other stream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,11 +30,11 @@ class StateDetection:
     confidence: float
 
     def __post_init__(self):
-        check_frame(self.frame)
-        if not 0.0 <= self.confidence <= 1.0:
-            raise StructureError(
-                f"confidence must be in [0, 1], got {self.confidence}"
-            )
+        if type(self.frame) is not int or self.frame < 0:  # the common case without a call
+            check_frame(self.frame)
+            object.__setattr__(self, "frame", int(self.frame))  # a numpy integer: stored as the int JSON writes
+        if type(self.confidence) is bool or not 0.0 <= self.confidence <= 1.0:
+            raise StructureError(f"confidence must be a number in [0, 1], got {self.confidence}")
 
 
 def infer_steps(
@@ -73,10 +74,10 @@ def asd_stream_probs(
     detection whose steps were emitted, so a flickering detector cannot
     re-infer the same transition.
     """
-    if video_len <= 0:
-        raise ValueError(f"video_len must be positive, got {video_len}")
-    if math.isnan(min_confidence):
-        raise ValueError("min_confidence must be a number, got nan")
+    if isinstance(video_len, bool) or not isinstance(video_len, numbers.Integral) or video_len <= 0:
+        raise ValueError(f"video_len must be a positive integer, got {video_len!r}")
+    if isinstance(min_confidence, bool) or math.isnan(min_confidence):
+        raise ValueError(f"min_confidence must be a number, got {min_confidence}")
     probs = np.zeros((video_len, proc.n_steps))
     accepted: StateDetection | None = None
     accepted_bits = (0,) * proc.n_components

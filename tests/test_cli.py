@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -7,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psrkit
 from psrkit import fileio
 from psrkit.cli import main
 from psrkit import (
+    ProbStream,
     evaluate,
     fuse_streams,
     nominal_events,
@@ -22,6 +25,7 @@ from psrkit import (
 )
 from psrkit.state_inference import StateDetection, asd_stream_probs
 
+from oracles import filter_fold
 from util import constant_stream, seq_of
 
 
@@ -410,6 +414,35 @@ class TestRecognizeCommand:
         lines = series.read_text().splitlines()
         assert lines[0] == "video_id,frame,step,action,prob,accumulator"
         assert len(lines) > 1
+
+    def test_series_accumulators_follow_the_fold_under_decay_and_floor(self, tmp_path):
+        """The series replays the filter with the run's decay and evidence floor:
+        its accumulator column is the reference fold's, step by step, through a
+        crossing, a held step and fused cells at and under the floor."""
+        toy = toy_motorcycle()
+        asd = tmp_path / "asd.jsonl"
+        fileio.serialize_asd_stream({"v": [StateDetection(3, toy.states[1], 0.9)]}, asd)
+        temporal = np.zeros((12, toy.n_steps))
+        temporal[2:5, 0] = 0.6  # step 0 crosses at frame 3 with the state stream's 0.9
+        temporal[5:7, 4] = 0.08  # fused 0.04, under the floor: decays
+        temporal[8, 12] = 0.1  # fused 0.05, at the floor: decays
+        temporal[9, 12] = 0.7
+        tmp = tmp_path / "temporal.jsonl"
+        fileio.serialize_temporal_stream({"v": ProbStream.dense(temporal, "temporal")}, tmp)
+        series, out = tmp_path / "series.csv", tmp_path / "p.jsonl"
+        assert main(["recognize", "--streams", str(asd), str(tmp), "--procedure", "toy-motorcycle",
+                     "--fuse", "--threshold", "0.9", "--decay", "0.5", "--evidence-floor", "0.05",
+                     "--out", str(out), "--series-out", str(series)]) == 0
+        fused = fuse_streams(asd_stream_probs(fileio.parse_asd_stream(asd, toy)["v"], toy, 12),
+                             fileio.parse_temporal_stream(tmp)["v"])
+        events, history, _, _ = filter_fold(toy, range(12), fused.probs, 0.9, 0.5, 0.05)
+        assert [(e.action, e.frame) for e in events] == [(0, 3)]
+        assert fileio.parse_labels(out)["v"].events == tuple(events)
+        steps = [0, 4, 8, 12]
+        with open(series, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [(int(r[1]), int(r[2])) for r in rows] == [(t, k) for t in range(12) for k in steps]
+        assert [float(r[5]) for r in rows] == [history[t][k] for t in range(12) for k in steps]
 
     def test_series_over_the_predictions_is_a_usage_error(self, tmp_path, capsys):
         toy = toy_motorcycle()

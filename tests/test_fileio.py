@@ -312,7 +312,7 @@ class TestStreamCodecs:
         """Byte for byte one canonical JSON object per record, also for
         confidences that are not floats."""
         dets = draw_state_streams(data, toy)
-        odd = st.sampled_from([0, 1, True, np.float64(0.25)])
+        odd = st.sampled_from([0, 1, np.float64(0.25)])
         for video_dets in dets.values():
             if data.draw(st.booleans()):
                 det = video_dets[0]
@@ -1101,6 +1101,7 @@ def _round_trip(tmp_path, write, parse, value):
 
 video_ids = st.text(min_size=1, max_size=6)
 frame_numbers = st.integers(0, 10**9)
+any_frame = frame_numbers | frame_numbers.map(np.int64)  # the codecs write a numpy frame as an int
 finite_positive = st.floats(1e-3, 1e6, allow_nan=False, allow_infinity=False)
 codec_settings = settings(max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1113,7 +1114,7 @@ class TestCodecProperties:
         seqs = {}
         for vid in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
             keys = data.draw(st.sets(
-                st.tuples(frame_numbers, st.sampled_from(toy.actions)), min_size=1, max_size=8
+                st.tuples(any_frame, st.sampled_from(toy.actions)), min_size=1, max_size=8
             ))
             events = [toy.make_event(a, f, correct=data.draw(st.booleans())) for f, a in keys]
             seqs[vid] = EventSequence.from_events(events, vid, data.draw(finite_positive))
@@ -1125,7 +1126,7 @@ class TestCodecProperties:
     def test_state_stream(self, toy, tmp_path, data):
         dets = {}
         for vid in data.draw(st.sets(video_ids, min_size=1, max_size=3)):
-            frames = sorted(data.draw(st.sets(frame_numbers, min_size=1, max_size=8)))
+            frames = sorted(data.draw(st.sets(any_frame, min_size=1, max_size=8)))
             dets[vid] = [
                 StateDetection(f, data.draw(st.sampled_from(toy.states)),
                                data.draw(st.floats(0.0, 1.0)))

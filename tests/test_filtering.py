@@ -1,6 +1,6 @@
 import math
 from contextlib import contextmanager
-from itertools import accumulate, chain, pairwise, repeat
+from itertools import accumulate, pairwise
 from unittest.mock import patch
 
 import numpy as np
@@ -129,6 +129,11 @@ class TestFilterStep:
         with pytest.raises(ValueError, match="nan|inf|0.0"):
             FilterState(procedure=quad, **kwargs)
 
+    @pytest.mark.parametrize("name", ["threshold", "decay", "evidence_floor"])
+    def test_boolean_parameters_rejected(self, quad, name):
+        with pytest.raises(ValueError, match=name.replace("_", " ")):
+            FilterState(procedure=quad, **{"threshold": 1.0, name: True})
+
     @pytest.mark.parametrize("name", ["accumulators", "last_kind", "last_frame"])
     def test_running_state_is_not_an_argument(self, quad, name):
         with pytest.raises(TypeError, match=name):
@@ -238,13 +243,11 @@ def emit_only_on_crossings():
         yield
 
 
-def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame=(False,),
-                       recorded=(False,)):
-    """Filter `rows` in chunks split at `cuts`, each chunk block-wise (with or
-    without a record) or one frame at a time, and compare with the reference
-    fold: same events, recorded accumulators and bitwise-equal state. Also
-    checks `run_filter` and its recorded accumulators, and that the blocks
-    call `_emit` only on crossings. Returns the events."""
+def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame=(False,)):
+    """Filter `rows` in chunks split at `cuts`, each chunk block-wise or one
+    frame at a time, and compare with the reference fold: same events and
+    bitwise-equal state. Also checks `run_filter`, and that the blocks call
+    `_emit` only on crossings. Returns the events."""
     stream = ProbStream(frames, np.array(rows, dtype=float).reshape(len(frames), 6))
     state = FilterState(procedure=TOGGLE, threshold=threshold, decay=decay,
                         evidence_floor=floor)
@@ -252,17 +255,13 @@ def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame
         TOGGLE, frames, rows, threshold, decay, floor
     )
     events = []
-    chunks = zip(pairwise([0, *cuts, len(frames)]), per_frame, chain(recorded, repeat(False)))
-    for (lo, hi), one_by_one, with_record in chunks:
+    for (lo, hi), one_by_one in zip(pairwise([0, *cuts, len(frames)]), per_frame):
         if one_by_one:
             for f in stream[lo:hi]:
                 events.extend(filter_step(state, f)[1])
             continue
-        record = np.empty((hi - lo, 6)) if with_record else None
         with emit_only_on_crossings():
-            events.extend(filter_stream(state, stream[lo:hi], record))
-        if record is not None:
-            assert record.tobytes() == np.array(history[lo:hi]).reshape(record.shape).tobytes()
+            events.extend(filter_stream(state, stream[lo:hi]))
 
     assert events == ref_events
     final = history[-1] if history else np.zeros(6)
@@ -270,11 +269,9 @@ def check_against_fold(frames, rows, threshold, decay, floor, cuts=(), per_frame
     assert state.last_kind == ref_kind
     assert state.last_frame == ref_last
 
-    record = np.empty(stream.probs.shape)
     with emit_only_on_crossings():
-        whole = run_filter(stream, TOGGLE, threshold, decay, floor, record=record)
+        whole = run_filter(stream, TOGGLE, threshold, decay, floor)
     assert whole == EventSequence.from_events(ref_events, video_id="video", fps=10)
-    assert record.tobytes() == np.array(history).reshape(record.shape).tobytes()
     return events
 
 
@@ -296,19 +293,18 @@ class TestFilterStream:
             cuts=cuts,
             per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
                                          max_size=len(cuts) + 1)),
-            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
 
     @pytest.mark.parametrize("decay", [0.999, 1.0])
     def test_silent_runs_longer_than_a_block_equal_frame_fold(self, decay):
         """Silent runs of 255, 256, 686 and 299 rows decay 256 rows at a time,
-        bitwise as the fold, with and without a record and across cuts."""
+        bitwise as the fold, across cuts."""
         rows = [[0.0] * 6 for _ in range(1500)]
         for t in (0, 256, 513, 1200):
             rows[t] = [0.3, 0.0, 0.0, 0.1, 0.0, 0.0]
         for cuts in ((), (300, 1000)):
             check_against_fold(list(range(1500)), rows, threshold=5.0, decay=decay, floor=0.0,
-                               cuts=cuts, per_frame=(False,) * 3, recorded=(True, False, True))
+                               cuts=cuts, per_frame=(False,) * 3)
 
     def test_held_crossing_emits_on_a_silent_frame(self):
         # Step 0 (install a) is held at frames 1 and 2; the remove of a at
@@ -352,7 +348,6 @@ class TestFilterStream:
             cuts=cuts,
             per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
                                          max_size=len(cuts) + 1)),
-            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
 
     @settings(max_examples=300, deadline=None)
@@ -406,13 +401,12 @@ class TestFilterStream:
             cuts=cuts,
             per_frame=data.draw(st.lists(st.booleans(), min_size=len(cuts) + 1,
                                          max_size=len(cuts) + 1)),
-            recorded=data.draw(st.lists(st.booleans(), max_size=len(cuts) + 1)),
         )
 
     def test_ten_tenths_cross_a_threshold_of_one(self):
         # 0.1 summed ten times is 0.9999999999999999, within EMIT_TOL of 1.0
         rows = [[0.1, 0, 0, 0, 0, 0]] * 10 + [[0.0] * 6]
-        events = check_against_fold(list(range(11)), rows, 1.0, 0.75, 0.0, recorded=(True,))
+        events = check_against_fold(list(range(11)), rows, 1.0, 0.75, 0.0)
         assert [(e.action, e.frame) for e in events] == [(0, 9)]
 
     def test_threshold_within_tolerance_of_zero(self):

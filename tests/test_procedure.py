@@ -164,7 +164,19 @@ class TestStepEvent:
     def test_frame_must_be_an_integer(self, frame):
         with pytest.raises(StructureError, match="frame"):
             StepEvent(action=0, component=0, kind=INSTALL, correct=True, frame=frame)
-        assert StepEvent(0, 0, INSTALL, True, np.int64(3)).frame == 3
+        frame = StepEvent(0, 0, INSTALL, True, np.int64(3)).frame
+        assert frame == 3 and type(frame) is int
+
+    @pytest.mark.parametrize("field, value", [
+        ("action", True), ("action", 1.5), ("action", "0"), ("component", False),
+        ("component", 1.0), ("correct", 1), ("correct", np.bool_(True)), ("correct", None),
+    ])
+    def test_fields_as_a_labels_record_holds_them(self, field, value):
+        with pytest.raises(StructureError, match=field):
+            StepEvent(**{"action": 0, "component": 0, "kind": INSTALL, "correct": True, "frame": 3,
+                         field: value})
+        event = StepEvent(np.int64(2), np.int32(1), INSTALL, False, 3)
+        assert (type(event.action), type(event.component)) == (int, int)
 
 
 class TestProcedureValidation:

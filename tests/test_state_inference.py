@@ -138,7 +138,20 @@ class TestAsdStreamProbs:
     def test_frame_must_be_an_integer(self, toy, frame):
         with pytest.raises(StructureError, match="frame"):
             StateDetection(frame, toy.states[1], 0.9)
-        assert StateDetection(np.int64(3), toy.states[1], 0.9).frame == 3
+        frame = StateDetection(np.int64(3), toy.states[1], 0.9).frame
+        assert frame == 3 and type(frame) is int
+
+    def test_boolean_confidence_rejected(self, toy):
+        with pytest.raises(StructureError, match="confidence"):
+            StateDetection(3, toy.states[1], True)
+
+    @pytest.mark.parametrize("name, value", [
+        ("video_len", 2.5), ("video_len", True), ("video_len", "10"), ("min_confidence", True),
+    ])
+    def test_non_numbers_and_booleans_rejected(self, toy, name, value):
+        with pytest.raises(ValueError, match=name):
+            asd_stream_probs([det(toy, 1, 5)], toy, **{"video_len": 10, name: value})
+        assert len(asd_stream_probs([det(toy, 1, 5)], toy, video_len=np.int64(10))) == 10
 
     def test_out_of_order_detections(self, toy):
         with pytest.raises(StreamOrderError):
